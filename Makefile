@@ -29,7 +29,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: fmt-check vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke postmortem-smoke fleet-smoke
+check: fmt-check vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke fleet-smoke
 
 # Correctness harness: race-test the checker package itself, then run a
 # 32-cell smoke slice of the seed-sweep property harness (a prefix of the

@@ -46,8 +46,11 @@ type KernelStats struct {
 	DeepIdleSkips     int // idle cores skipped by wake placement because deep idle
 	ContextSwitches   int
 	BodyResumes       int // coroutine resumes (Coro.Next) across all threads
-	PlanElisions      int // compute-plan slices serviced without resuming a body
-	BurstElisions     int // callback-plan (ComputePlan) slices serviced driver-side
+	// Deprecated: PlanElisions is always 0; every compute-plan slice is
+	// counted in BurstElisions. It is kept because perfbench's
+	// resultStats reads it.
+	PlanElisions  int
+	BurstElisions int // compute-plan (ComputePlan) slices serviced driver-side
 }
 
 type timerKind int
@@ -281,30 +284,10 @@ func (c *core) onTimer(kind timerKind) {
 	c.account(now)
 	switch {
 	case kind == timerComplete || t.remaining <= 0:
-		// Batch-dispatch loop: arm the next plan slice and, when its
-		// completion would be the next event to fire anyway (uncontended
-		// core, nothing staged or queued at or before it), fire it inline
-		// via Sim.FireInline instead of staging a timer and returning to
-		// the event loop. A run of same-core plan slices then executes as
-		// one onTimer activation. FireInline preserves the (at, seq) order
-		// and the trace stream exactly, and refuses whenever any other
-		// event could interleave, so this is observably identical to the
-		// stage-and-fire path.
-		for {
-			if !c.planArm(t) {
-				// Plan exhausted: ask the body for its next request.
-				k.advance(t)
-				return
-			}
-			if !k.shutdown && len(c.rq) == 0 && c.curr == t {
-				if k.Sim.FireInline(now + c.wallFor(t.remaining)) {
-					now = k.Sim.Now()
-					c.account(now)
-					continue
-				}
-			}
-			c.reprogram()
-			return
+		// The slice is done: continue the plan driver-side, or ask the
+		// body for its next request.
+		if !c.planContinue(t) {
+			k.advance(t)
 		}
 	default:
 		// Preempt: requeue and pick the next thread.
@@ -437,10 +420,9 @@ func (c *core) pickNext() {
 	}
 	// A plan thread dispatched with its slice already exhausted continues
 	// its plan driver-side, exactly as the completion timer would.
-	if c.planContinue(t) {
-		return
+	if !c.planContinue(t) {
+		k.advance(t)
 	}
-	k.advance(t)
 }
 
 // planContinue starts the current thread's next compute-plan slice from the
@@ -448,52 +430,31 @@ func (c *core) pickNext() {
 // what a body-yielded Compute would produce (any sub-slice accounting
 // residue is discarded, as advance does via remaining = 0 → remaining = d);
 // only the coroutine round trip is elided. Returns false when the thread
-// has no plan (the caller resumes the body instead).
+// has no plan left (the caller resumes the body instead).
 func (c *core) planContinue(t *Thread) bool {
-	if !c.planArm(t) {
+	fn := t.planFn
+	if fn == nil {
 		return false
 	}
+	k := c.k
+	// The callback acts on the thread's behalf (it may Unpark waiters,
+	// whose wake-affine placement consults the waker), so it runs with the
+	// thread active, exactly like the body it replaces.
+	prev := k.active
+	k.active = t
+	d, ok := fn()
+	for ok && d <= 0 {
+		d, ok = fn()
+	}
+	k.active = prev
+	if !ok {
+		t.planFn = nil
+		return false
+	}
+	t.remaining = d
+	k.Stats.BurstElisions++
 	c.reprogram()
 	return true
-}
-
-// planArm loads the current thread's next compute-plan slice into
-// t.remaining without programming a timer. onTimer's inline batch loop uses
-// it directly so a successful FireInline can skip the timer round trip;
-// every other caller goes through planContinue, which arms and reprograms.
-// Returns false when the thread has no plan left.
-func (c *core) planArm(t *Thread) bool {
-	k := c.k
-	if t.planLeft != 0 {
-		if t.planLeft > 0 {
-			t.planLeft--
-		}
-		t.remaining = t.planSlice
-		k.Stats.PlanElisions++
-		return true
-	}
-	if fn := t.planFn; fn != nil {
-		// The callback acts on the thread's behalf (it may Unpark waiters,
-		// whose wake-affine placement consults the waker), so it runs with
-		// the thread active, exactly like the body it replaces.
-		prev := k.active
-		k.active = t
-		for {
-			d, ok := fn()
-			if !ok {
-				break
-			}
-			if d > 0 {
-				k.active = prev
-				t.remaining = d
-				k.Stats.BurstElisions++
-				return true
-			}
-		}
-		k.active = prev
-		t.planFn = nil
-	}
-	return false
 }
 
 // siblingCheckpoint accounts the SMT sibling's current thread at the speed
@@ -522,7 +483,7 @@ func (k *Kernel) advance(t *Thread) {
 	}
 	for {
 		t.remaining = 0
-		t.planSlice, t.planLeft, t.planFn = 0, 0, nil
+		t.planFn = nil
 		prev := k.active
 		k.active = t
 		k.Stats.BodyResumes++
@@ -537,11 +498,6 @@ func (k *Kernel) advance(t *Thread) {
 		switch req.kind {
 		case reqCompute:
 			t.remaining = req.d
-			if req.n > 1 {
-				t.planSlice, t.planLeft = req.d, req.n-1
-			} else if req.n < 0 {
-				t.planSlice, t.planLeft = req.d, -1
-			}
 			t.planFn = req.fn
 			c.reprogram()
 			return

@@ -68,8 +68,8 @@ func planScenario(t *testing.T, competitor bool, issue func(e *Env)) planResult 
 	return res
 }
 
-// TestComputePlanElidesResumes is the tentpole's contract: issuing N
-// identical slices as one ComputeN plan must leave every simulation
+// TestComputePlanElidesResumes is the compute-plan contract: issuing N
+// identical slices as one ComputePlan must leave every simulation
 // observable — the fired-event stream, virtual end time, CPU accounting —
 // byte-identical to N sequential Compute calls, while resuming the body
 // far fewer times.
@@ -90,7 +90,11 @@ func TestComputePlanElidesResumes(t *testing.T) {
 				}
 			})
 			plan := planScenario(t, tc.competitor, func(e *Env) {
-				e.ComputeN(slice, n)
+				left := n
+				e.ComputePlan(func() (simkit.Time, bool) {
+					left--
+					return slice, left >= 0
+				})
 			})
 
 			if loop.end != plan.end {
@@ -117,11 +121,11 @@ func TestComputePlanElidesResumes(t *testing.T) {
 					at(loop.events, i), at(plan.events, i))
 			}
 
-			if got := plan.stats.PlanElisions; got != n-1 {
-				t.Errorf("PlanElisions = %d, want %d", got, n-1)
+			if got := plan.stats.BurstElisions; got != n-1 {
+				t.Errorf("BurstElisions = %d, want %d", got, n-1)
 			}
-			if loop.stats.PlanElisions != 0 {
-				t.Errorf("loop run recorded %d PlanElisions, want 0", loop.stats.PlanElisions)
+			if loop.stats.BurstElisions != 0 {
+				t.Errorf("loop run recorded %d BurstElisions, want 0", loop.stats.BurstElisions)
 			}
 			// The loop body resumes at least once per slice; the plan body
 			// resumes a constant handful of times regardless of n.
@@ -143,11 +147,11 @@ func at(evs []evtrace.Event, i int) any {
 	return "<end of stream>"
 }
 
-// TestComputeForeverMatchesBusyLoop checks the endless-plan variant against
-// the busy-loop idiom it replaces, using a finite thread sharing the core
+// TestEndlessComputePlanMatchesBusyLoop checks a plan that never reports
+// done against the busy-loop idiom it replaces, using a finite thread sharing the core
 // as the clock: when it finishes, both machines must agree on every
 // observable, and the endless plan must not have resumed its body.
-func TestComputeForeverMatchesBusyLoop(t *testing.T) {
+func TestEndlessComputePlanMatchesBusyLoop(t *testing.T) {
 	// planScenario drains until all listed threads are done, but an endless
 	// body never finishes — drive on the competitor instead.
 	scenario := func(t *testing.T, busy func(e *Env)) (planResult, simkit.Time) {
@@ -183,7 +187,7 @@ func TestComputeForeverMatchesBusyLoop(t *testing.T) {
 		}
 	})
 	plan, planNow := scenario(t, func(e *Env) {
-		e.ComputeForever(1 * ms)
+		e.ComputePlan(func() (simkit.Time, bool) { return 1 * ms, true })
 	})
 
 	if loopNow != planNow {
@@ -199,7 +203,7 @@ func TestComputeForeverMatchesBusyLoop(t *testing.T) {
 	if !reflect.DeepEqual(loop.events, plan.events) {
 		t.Errorf("event streams diverged (%d vs %d events)", len(loop.events), len(plan.events))
 	}
-	if plan.stats.PlanElisions == 0 {
+	if plan.stats.BurstElisions == 0 {
 		t.Error("endless plan recorded no elisions")
 	}
 	// One resume starts the endless body; it never needs another.

@@ -40,15 +40,13 @@ func (s State) String() string {
 // encoding boxed every reqCompute on the heap, one allocation per
 // scheduling point.
 //
-// A compute request may carry a plan: n > 1 asks for n back-to-back slices
-// of d nanoseconds each, and n < 0 for an endless supply of them. The
-// kernel services the follow-on slices from the driver side — same timer
-// events, same accounting, same preemption — without resuming the body
-// between slices (see Kernel.onTimer), so a body that would yield N
-// identical computes in a row pays one coroutine switch instead of N.
+// A compute request may carry a plan (see ComputePlan): the kernel asks fn
+// for each follow-on slice from the driver side — same timer events, same
+// accounting, same preemption — without resuming the body between slices
+// (see core.planContinue), so a body whose work between slices is simple
+// pays one coroutine switch for the whole plan instead of one per slice.
 type request struct {
 	d    simkit.Time // compute or sleep duration
-	n    int32       // compute slice count: 0/1 single, >1 plan, <0 endless
 	fn   PlanFn      // callback plan: produces follow-on slices driver-side
 	kind reqKind
 }
@@ -78,15 +76,11 @@ type Thread struct {
 	vruntime  simkit.Time
 	remaining simkit.Time // work left in the current compute slice
 
-	// Compute-plan state: when the current slice completes and planLeft is
-	// non-zero, the kernel starts the next planSlice-long slice itself
-	// instead of resuming the body (planLeft < 0 means endless). Preemption
-	// and migration leave the plan intact; it resumes with the thread.
-	// planFn is the callback form (ComputePlan): consulted for the next
-	// slice each time one completes, until it reports the plan done.
-	planSlice simkit.Time
-	planLeft  int32
-	planFn    PlanFn
+	// Compute-plan state (ComputePlan): when the current slice completes,
+	// planFn is consulted for the next one instead of resuming the body,
+	// until it reports the plan done. Preemption and migration leave the
+	// plan intact; it resumes with the thread.
+	planFn PlanFn
 
 	dispatchedAt simkit.Time // when the current stint on CPU began
 	lastAccount  simkit.Time // last time CPU accounting ran for this thread
@@ -154,34 +148,6 @@ func (e *Env) Compute(d simkit.Time) {
 	e.yield(request{d: d, kind: reqCompute})
 }
 
-// ComputeN consumes n back-to-back slices of d nanoseconds of CPU work
-// each. It is observably identical to calling Compute(d) n times in a row
-// — the same timer events fire, the same vruntime is charged, preemption
-// interleaves at the same slice boundaries — but the kernel services the
-// follow-on slices itself, so the body pays one coroutine switch for the
-// whole plan instead of one per slice. Use it when nothing needs to happen
-// between the slices; a body that must observe state between slices (check
-// a flag, take a lock) still calls Compute per slice.
-func (e *Env) ComputeN(d simkit.Time, n int) {
-	if d <= 0 || n <= 0 {
-		return
-	}
-	e.yield(request{d: d, n: int32(n), kind: reqCompute})
-}
-
-// ComputeForever consumes d-nanosecond slices of CPU work until the end of
-// the simulation; it never returns. It replaces the busy-loop idiom
-// `for { e.Compute(d) }` with a single yield whose endless plan the kernel
-// services driver-side — same slices, same preemption, no per-slice
-// coroutine switch.
-func (e *Env) ComputeForever(d simkit.Time) {
-	if d <= 0 {
-		panic("cfs: ComputeForever needs a positive slice")
-	}
-	e.yield(request{d: d, n: -1, kind: reqCompute})
-	panic("cfs: ComputeForever resumed") // unreachable: only Stop unwinds it
-}
-
 // PlanFn produces the slices of a callback compute plan. Each call returns
 // the next slice's duration and true, or false when the plan is finished.
 // The kernel calls it from the driver side (inside the completion timer of
@@ -200,7 +166,9 @@ type PlanFn func() (simkit.Time, bool)
 // chain of Compute calls, without resuming the body between slices. It
 // returns once fn reports the plan done. Use it when the work *between*
 // slices is simple enough to run from the driver (bump a counter, check a
-// flag, try an allocation); see ComputeN for the fixed-shape variant.
+// flag, try an allocation). A plan whose fn never reports done computes
+// until the simulation ends: the busy-loop idiom `for { e.Compute(d) }`
+// without a coroutine switch per slice.
 func (e *Env) ComputePlan(fn PlanFn) {
 	for {
 		d, ok := fn()

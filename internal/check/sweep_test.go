@@ -3,6 +3,9 @@ package check
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/evtrace"
@@ -70,6 +73,29 @@ func TestDigestStableAcrossRepeatedRuns(t *testing.T) {
 	}
 	if got := digestResults(rerun); got != want {
 		t.Fatalf("fresh replay digest differs: %s != %s", got, want)
+	}
+}
+
+// TestSweepDigestsMatchFixture pins the checked-run digest of the first 16
+// cells of the seed-42 sweep to testdata/sweep_digests_seed42.txt. A
+// refactor that claims to leave simulated behaviour unchanged must leave
+// every line of that file unchanged; a deliberate behaviour change updates
+// the file in the same commit and says why.
+func TestSweepDigestsMatchFixture(t *testing.T) {
+	want, err := os.ReadFile("testdata/sweep_digests_seed42.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, cell := range Cells(42, 16) {
+		r := RunCellOpts(cell, RunOptions{SkipBare: true})
+		if r.Failed() {
+			t.Errorf("%s", r.Summary())
+		}
+		fmt.Fprintf(&got, "%d %s\n", cell.Index, r.Digest)
+	}
+	if got.String() != string(want) {
+		t.Errorf("sweep digests diverged from the fixture:\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }
 

@@ -43,12 +43,6 @@ type Config struct {
 	// RecordLockLog captures the GCTaskManager monitor's acquisition log
 	// into Result.LockLog (§3.2's root-cause trace).
 	RecordLockLog bool
-	// LoopGCWorkers runs GC worker bodies as the legacy Compute-per-step
-	// coroutine loops instead of kernel-serviced plans. The two paths are
-	// byte-identical (see pscavenge's loop-vs-plan identity test); this
-	// switch exists as the comparison oracle and costs a coroutine round
-	// trip per worker step.
-	LoopGCWorkers bool
 	// NUMARemoteFactor, when > 1, enables the NUMA memory-locality cost
 	// model: objects are homed on the allocating thread's node
 	// (first-touch) and remote accesses during GC cost this factor more.
@@ -129,9 +123,11 @@ type Result struct {
 	// resuming mutators start faster — this counter shows it.
 	MutatorDeepWakes int
 
-	// Event-kernel throughput counters: total events fired and the subset
-	// batch-dispatched inline (simkit.Sim.Inlined) without an event record.
-	EventsFired   uint64
+	// EventsFired is the total number of simulation events fired.
+	EventsFired uint64
+	// Deprecated: EventsInlined is always 0; every event is fired through
+	// the event queue. It is kept because perfbench's resultStats reads
+	// it.
 	EventsInlined uint64
 
 	ItemsDone int64
@@ -411,7 +407,6 @@ func (m *Machine) AddJVM(cfg Config) (*JVM, error) {
 		AdaptiveSizing: cfg.AdaptiveSizing,
 		VerifyHeap:     cfg.VerifyHeap,
 		RecordLockLog:  cfg.RecordLockLog,
-		LoopWorkers:    cfg.LoopGCWorkers,
 		OnWorkerStart:  j.Bal.WorkerStart,
 		OnGCWake:       j.Bal.GCWake,
 		Metrics:        m.Metrics,
@@ -493,8 +488,7 @@ func (j *JVM) Result() *Result {
 		ItemsDone: j.itemsDone,
 		Err:       j.oomErr,
 
-		EventsFired:   j.M.K.Sim.Fired(),
-		EventsInlined: j.M.K.Sim.Inlined(),
+		EventsFired: j.M.K.Sim.Fired(),
 	}
 	for _, ms := range j.muts {
 		r.MutatorDeepWakes += ms.th.DeepWakes

@@ -89,7 +89,7 @@ func (m *Machine) AddBusyLoops(n int) {
 			// An endless compute plan: same 1 ms slices and preemption
 			// points as `for { e.Compute(1ms) }`, but the kernel services
 			// the slices without a coroutine switch per millisecond.
-			e.ComputeForever(1 * simkit.Millisecond)
+			e.ComputePlan(func() (simkit.Time, bool) { return simkit.Millisecond, true })
 		})
 		m.busy = append(m.busy, th)
 	}

@@ -8,55 +8,27 @@ import (
 
 // TestGCWorkersRunAsPlans asserts that on a stock run the GC worker bodies
 // are serviced as kernel compute plans: the run must record driver-side
-// slice elisions and inline-fired events, and resume far fewer coroutine
-// bodies than the legacy loop-worker oracle on the same cell. Result
-// equality between the two modes is asserted structurally here and
-// event-by-event in pscavenge's TestWorkerPlanMatchesLoop.
+// slice elisions, and they must outnumber coroutine resumes. Workers that
+// yielded one Compute per tracing chunk resumed their bodies about once per
+// slice (7,988 resumes against 7,357 elisions on this cell); the plan
+// workers resume 1,214 times for 14,131 elisions. The exact event stream of
+// this cell is pinned by pscavenge's TestWorkerPlanMatchesLoop.
 func TestGCWorkersRunAsPlans(t *testing.T) {
 	p := workload.Lusearch()
 	p.TotalItems /= 8 // reduced cell: a few GCs is enough
-	base := Config{Profile: p, Mutators: 16, Seed: 1}
-
-	plan, err := Run(RunSpec{Config: base, Seed: 1})
+	res, err := Run(RunSpec{Config: Config{Profile: p, Mutators: 16, Seed: 1}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loopCfg := base
-	loopCfg.LoopGCWorkers = true
-	loop, err := Run(RunSpec{Config: loopCfg, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if plan.MinorGCs == 0 {
+	if res.MinorGCs == 0 {
 		t.Fatal("reduced cell ran no minor GCs; cannot exercise workers")
 	}
-	if plan.Kernel.BurstElisions == 0 {
-		t.Error("plan workers recorded no burst elisions")
+	k := res.Kernel
+	if k.BurstElisions == 0 {
+		t.Fatal("plan workers recorded no burst elisions")
 	}
-	if plan.EventsInlined == 0 {
-		t.Error("no events were batch-dispatched inline")
-	}
-	if plan.Kernel.BodyResumes >= loop.Kernel.BodyResumes {
-		t.Errorf("plan workers did not reduce body resumes: plan=%d loop=%d",
-			plan.Kernel.BodyResumes, loop.Kernel.BodyResumes)
-	}
-
-	// The two modes must simulate the same execution.
-	if plan.TotalTime != loop.TotalTime || plan.GCTime != loop.GCTime {
-		t.Errorf("timings diverged: plan total=%v gc=%v, loop total=%v gc=%v",
-			plan.TotalTime, plan.GCTime, loop.TotalTime, loop.GCTime)
-	}
-	if plan.MinorGCs != loop.MinorGCs || plan.MajorGCs != loop.MajorGCs {
-		t.Errorf("GC counts diverged: plan=%d/%d loop=%d/%d",
-			plan.MinorGCs, plan.MajorGCs, loop.MinorGCs, loop.MajorGCs)
-	}
-	if plan.ItemsDone != loop.ItemsDone || plan.Heap != loop.Heap {
-		t.Errorf("work diverged: plan items=%d heap=%+v, loop items=%d heap=%+v",
-			plan.ItemsDone, plan.Heap, loop.ItemsDone, loop.Heap)
-	}
-	if plan.Steal.TotalAttempts() != loop.Steal.TotalAttempts() {
-		t.Errorf("steal attempts diverged: plan=%d loop=%d",
-			plan.Steal.TotalAttempts(), loop.Steal.TotalAttempts())
+	if k.BodyResumes >= k.BurstElisions {
+		t.Errorf("body resumes (%d) not below driver-side elisions (%d): workers are not running as plans",
+			k.BodyResumes, k.BurstElisions)
 	}
 }

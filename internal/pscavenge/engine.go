@@ -56,12 +56,6 @@ type Options struct {
 	// machines, §5.7): it suffixes the GCTaskManager monitor name and
 	// namespaces task ids so one event bus carries unambiguous streams.
 	Instance int
-	// LoopWorkers runs the GC worker bodies as the legacy Compute-per-step
-	// coroutine loops instead of driver-serviced compute plans. The two are
-	// observably identical — same event stream, reports, and RNG draws
-	// (TestWorkerPlanMatchesLoop) — so this exists as the oracle switch for
-	// that identity test and as a debugging aid for the plan state machine.
-	LoopWorkers bool
 	// Costs overrides the calibration (nil = DefaultCosts).
 	Costs *Costs
 	// Metrics, when non-nil, receives the unified counter namespace
@@ -169,11 +163,7 @@ func New(k *cfs.Kernel, h *heap.Heap, opt Options) *Engine {
 			if g.Opt.OnWorkerStart != nil {
 				g.Opt.OnWorkerStart(e, w)
 			}
-			if g.Opt.LoopWorkers {
-				g.workerLoop(e, w)
-			} else {
-				g.workerPlan(e, w)
-			}
+			g.workerPlan(e, w)
 		})
 	}
 	return g
@@ -188,112 +178,7 @@ func (g *Engine) Workers() []*cfs.Thread { return g.workers }
 // Shutdown releases the GC threads; call from the VM thread when done.
 func (g *Engine) Shutdown(e *cfs.Env) { g.mgr.close(e) }
 
-func (g *Engine) workerLoop(e *cfs.Env, w int) {
-	for {
-		task := g.mgr.getTask(e, w)
-		if task == nil {
-			return
-		}
-		if task.rep != nil && task.rep.Seq != g.seenEpoch[w] {
-			g.seenEpoch[w] = task.rep.Seq
-			if g.Opt.OnGCWake != nil {
-				g.Opt.OnGCWake(e, w)
-			}
-		}
-		g.execute(e, w, task)
-	}
-}
-
-func (g *Engine) execute(e *cfs.Env, w int, t *GCTask) {
-	start := e.Now()
-	switch t.Kind {
-	case TaskOldToYoungRoots:
-		g.runOldToYoung(e, w, t)
-		t.rep.RootTaskTime += e.Now() - start
-	case TaskScavengeRoots, TaskThreadRoots:
-		g.runScavengeRoots(e, w, t)
-		t.rep.RootTaskTime += e.Now() - start
-	case TaskMarkRoots:
-		g.runMarkRoots(e, w, t)
-		t.rep.RootTaskTime += e.Now() - start
-	case TaskSteal, TaskMarkSteal:
-		g.runSteal(e, w, t)
-	case TaskCompact:
-		e.Compute(t.Work)
-		t.rep.RootTaskTime += e.Now() - start
-		g.bar.taskDone()
-	}
-	if g.etr != nil {
-		// One span per executed task on the worker's track; TaskKind
-		// strings are static, so this never allocates.
-		g.etr.Emit(evtrace.Event{Kind: evtrace.KGCTask,
-			At: int64(start), Dur: int64(e.Now() - start),
-			Core: int32(e.Core()), TID: int32(w), Name: t.Kind.String(),
-			Arg1: t.id})
-	}
-}
-
-// newTracer returns the tracing-work batcher: tracing costs accrue per
-// object and per reference, and the batcher submits them to the scheduler
-// in ChunkWork-sized chunks, bounding how long a GC thread runs without a
-// scheduling point.
-func (g *Engine) newTracer(e *cfs.Env) cfs.Batcher { return cfs.NewBatcher(e, g.Costs.ChunkWork) }
-
 func isYoung(sp heap.Space) bool { return sp == heap.SpaceEden || sp == heap.SpaceFrom }
-
-// scavengeStep copies one young object and pushes its unvisited young
-// children onto the worker's local queue.
-func (g *Engine) scavengeStep(tr *cfs.Batcher, w int, id heap.ObjID, rep *GCReport) {
-	h := g.H
-	size, promoted, first := h.CopyYoung(id)
-	if !first {
-		return
-	}
-	rep.CopiedObjects++
-	rep.CopiedBytes += int64(size)
-	if promoted {
-		rep.PromotedObjects++
-	}
-	cost := g.Costs.ObjCopyBase + simkit.Time(size)*g.Costs.CopyPerByte
-	if g.Opt.NUMA != nil {
-		cost = g.numaAdjust(tr.Env().Core(), id, cost, rep, true)
-	}
-	tr.Charge(cost)
-	for _, r := range h.Refs(id) {
-		if r == 0 {
-			continue
-		}
-		tr.Charge(g.Costs.RefScan)
-		if !h.Visited(r) && isYoung(h.SpaceOf(r)) {
-			g.queues[w].PushBottom(r)
-		}
-	}
-}
-
-// markStep marks one object (full GC) and pushes all unvisited children.
-func (g *Engine) markStep(tr *cfs.Batcher, w int, id heap.ObjID, rep *GCReport) {
-	h := g.H
-	size, first := h.Mark(id)
-	if !first {
-		return
-	}
-	rep.CopiedObjects++
-	rep.CopiedBytes += int64(size)
-	cost := g.Costs.MarkObj
-	if g.Opt.NUMA != nil {
-		cost = g.numaAdjust(tr.Env().Core(), id, cost, rep, false)
-	}
-	tr.Charge(cost)
-	for _, r := range h.Refs(id) {
-		if r == 0 {
-			continue
-		}
-		tr.Charge(g.Costs.RefScan)
-		if !h.Visited(r) {
-			g.queues[w].PushBottom(r)
-		}
-	}
-}
 
 // numaAdjust applies the NUMA model to one object access: remote objects
 // cost RemoteFactor times as much; a copy (rehome=true) moves the object to
@@ -311,123 +196,6 @@ func (g *Engine) numaAdjust(core ostopo.CoreID, id heap.ObjID, cost simkit.Time,
 		rep.LocalAccesses++
 	}
 	return cost
-}
-
-// drainLocal processes the worker's local queue to empty.
-func (g *Engine) drainLocal(tr *cfs.Batcher, w int, rep *GCReport, mark bool) {
-	for {
-		id, ok := g.queues[w].PopBottom()
-		if !ok {
-			return
-		}
-		if mark {
-			g.markStep(tr, w, id, rep)
-		} else {
-			g.scavengeStep(tr, w, id, rep)
-		}
-	}
-}
-
-func (g *Engine) runScavengeRoots(e *cfs.Env, w int, t *GCTask) {
-	tr := g.newTracer(e)
-	for _, id := range t.Roots {
-		if id == 0 {
-			continue
-		}
-		tr.Charge(g.Costs.RefScan)
-		if !g.H.Visited(id) && isYoung(g.H.SpaceOf(id)) {
-			g.queues[w].PushBottom(id)
-		}
-	}
-	g.drainLocal(&tr, w, t.rep, false)
-	tr.Flush()
-}
-
-func (g *Engine) runOldToYoung(e *cfs.Env, w int, t *GCTask) {
-	tr := g.newTracer(e)
-	for _, oldID := range t.Roots {
-		for _, r := range g.H.Refs(oldID) {
-			if r == 0 {
-				continue
-			}
-			tr.Charge(g.Costs.RefScan)
-			if !g.H.Visited(r) && isYoung(g.H.SpaceOf(r)) {
-				g.queues[w].PushBottom(r)
-			}
-		}
-	}
-	g.drainLocal(&tr, w, t.rep, false)
-	tr.Flush()
-}
-
-func (g *Engine) runMarkRoots(e *cfs.Env, w int, t *GCTask) {
-	tr := g.newTracer(e)
-	for _, id := range t.Roots {
-		if id == 0 {
-			continue
-		}
-		tr.Charge(g.Costs.RefScan)
-		if !g.H.Visited(id) {
-			g.queues[w].PushBottom(id)
-		}
-	}
-	g.drainLocal(&tr, w, t.rep, true)
-	tr.Flush()
-}
-
-// runSteal is the StealTask body: steal → drain → (after enough consecutive
-// failures) offer termination → maybe return to stealing (§2.3, §4.2).
-func (g *Engine) runSteal(e *cfs.Env, w int, t *GCTask) {
-	c := g.Costs
-	term := t.term
-	rep := t.rep
-	mark := t.Kind == TaskMarkSteal
-	fails := 0
-	segStart := e.Now()
-	for {
-		victim := g.policy.ChooseVictim(w, g.pool, e.Rand())
-		g.Steal.Attempts[w]++
-		rep.StealAttempts++
-		e.Compute(c.StealAttempt)
-		success := false
-		if victim >= 0 {
-			if id, ok := g.queues[victim].PopTop(); ok {
-				success = true
-				g.policy.RecordResult(w, victim, true)
-				rep.StolenTasks++
-				g.queues[w].PushBottom(id)
-				tr := g.newTracer(e)
-				g.drainLocal(&tr, w, rep, mark)
-				tr.Flush()
-				fails = 0
-			}
-		}
-		if success {
-			continue
-		}
-		g.policy.RecordResult(w, victim, false)
-		g.Steal.Failures[w]++
-		rep.StealFailures++
-		fails++
-		if fails >= term.threshold(w) || g.policy.AbortOnFailure() {
-			rep.StealWorkTime += e.Now() - segStart
-			ts := e.Now()
-			finished := term.offer(e, w)
-			// A straggler may observe completion only after the pause has
-			// ended (it wakes among resumed mutators); clamp its share of
-			// the termination phase to the pause itself.
-			end := e.Now()
-			if term.done && term.completedAt > ts && term.completedAt < end {
-				end = term.completedAt
-			}
-			rep.TerminationTime += end - ts
-			segStart = e.Now()
-			if finished {
-				return
-			}
-			fails = 0
-		}
-	}
 }
 
 // --- collection entry points (called from the VM thread) -------------------

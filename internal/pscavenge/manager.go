@@ -36,31 +36,6 @@ func newManager(g *Engine, policy jmutex.Policy, taskAffinity bool) *manager {
 	}
 }
 
-// getTask returns the next GC task for worker w, blocking between GCs.
-// A nil return means the manager was shut down.
-func (m *manager) getTask(e *cfs.Env, w int) *GCTask {
-	m.mon.Lock(e)
-	for len(m.queue) == 0 {
-		if m.closed {
-			m.mon.Unlock(e)
-			return nil
-		}
-		m.mon.Wait(e)
-	}
-	task := m.dequeue(w)
-	e.Compute(m.g.Costs.TaskDequeue) // the critical section's work
-	m.mon.Unlock(e)
-	if m.g.etr != nil {
-		m.g.etr.Emit(evtrace.Event{Kind: evtrace.KGetTask, At: int64(e.Now()),
-			Core: int32(e.Core()), TID: int32(w), Name: task.Kind.String(),
-			Arg1: int64(task.Kind), Arg2: task.id})
-	}
-	if task.rep != nil {
-		task.rep.recordDispatch(w, int(e.Core()), task.Kind)
-	}
-	return task
-}
-
 // dequeue removes the task at the remove end, preferring (when task
 // affinity is enabled, §4.1) a task whose affinity matches the requesting
 // worker.

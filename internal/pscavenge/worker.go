@@ -20,12 +20,11 @@ import (
 //   - shutdown (the body must return).
 //
 // Everything else — the CAS and unlock costs around get_task, the chunked
-// tracing charges that replaced the cfs.Batcher, the per-attempt steal cost
-// — is a plan slice. The state machine replays the legacy loop's operations
-// at exactly the instants the loop performed them between its Compute
-// yields, so the event stream, RNG draws, reports, and trace emissions are
-// byte-identical to Options.LoopWorkers (asserted by the loop-vs-plan
-// identity test).
+// tracing charges, the per-attempt steal cost — is a plan slice. The paper's
+// per-thread loop (get_task, root scan, drain, steal, offer termination;
+// §2.2–2.3) is the program the state machine steps through; the event
+// stream, reports and kernel counters it produces are pinned by digest
+// fixtures in TestWorkerPlanMatchesLoop.
 
 // workerPC is the plan program counter: where the worker resumes when the
 // current slice completes.
@@ -86,7 +85,8 @@ type workerState struct {
 	task      *GCTask
 	taskStart simkit.Time
 
-	// Chunked tracing accumulator (the plan-resident cfs.Batcher).
+	// Chunked tracing accumulator: work accrues per object and reference
+	// and is submitted as a slice once it reaches Costs.ChunkWork.
 	acc simkit.Time
 
 	// Root / reference iteration cursors.
@@ -141,8 +141,8 @@ func (g *Engine) workerPlan(e *cfs.Env, w int) {
 }
 
 // finishOffer runs the termination protocol in the body (offer spins, yields
-// and sleeps) and routes the plan to the right continuation, replicating the
-// tail of the legacy runSteal iteration.
+// and sleeps) and routes the plan to the right continuation: back to the
+// steal loop, or to task completion once termination is reached.
 func (ws *workerState) finishOffer(e *cfs.Env) {
 	t := ws.task
 	rep := t.rep
@@ -164,9 +164,9 @@ func (ws *workerState) finishOffer(e *cfs.Env) {
 	ws.pc = wpcStealChoose
 }
 
-// step is the worker's cfs.PlanFn. Each call performs the work the legacy
-// loop did between two scheduling points and returns the next plan slice; a
-// (0, false) return hands control back to the body with ws.action set.
+// step is the worker's cfs.PlanFn. Each call performs the work between two
+// scheduling points and returns the next plan slice; a (0, false) return
+// hands control back to the body with ws.action set.
 func (ws *workerState) step() (simkit.Time, bool) {
 	g := ws.g
 	m := g.mgr
@@ -395,9 +395,9 @@ func (ws *workerState) step() (simkit.Time, bool) {
 	panic("pscavenge: invalid worker plan state")
 }
 
-// stepObject performs the copy/mark half of one drain step (the legacy
-// scavengeStep/markStep up to the reference loop) and routes to the
-// reference scan, charging the object cost into the tracing batch.
+// stepObject performs the copy/mark half of one drain step (everything up
+// to the reference loop) and routes to the reference scan, charging the
+// object cost into the tracing batch.
 func (ws *workerState) stepObject(id heap.ObjID) (simkit.Time, bool) {
 	g := ws.g
 	h := g.H
@@ -439,7 +439,8 @@ func (ws *workerState) stepObject(id heap.ObjID) (simkit.Time, bool) {
 }
 
 // charge accrues d of tracing work; when the accumulator reaches ChunkWork
-// it returns the slice to submit (the Batcher.Charge threshold, verbatim).
+// it returns the slice to submit. The chunk bounds how long a GC thread runs
+// without a scheduling point.
 func (ws *workerState) charge(d simkit.Time) (simkit.Time, bool) {
 	ws.acc += d
 	if ws.acc >= ws.g.Costs.ChunkWork {
@@ -450,7 +451,7 @@ func (ws *workerState) charge(d simkit.Time) (simkit.Time, bool) {
 	return 0, false
 }
 
-// flush returns the remaining accrued tracing work (Batcher.Flush).
+// flush returns the remaining accrued tracing work.
 func (ws *workerState) flush() simkit.Time {
 	d := ws.acc
 	ws.acc = 0

@@ -90,7 +90,6 @@ type Sim struct {
 	free    []int32    // free-list of recycled slots
 	rng     *rand.Rand
 	fired   uint64
-	inlined uint64
 	clamped uint64
 	coros   []stopper // registered coroutines, for cleanup
 	etr     *evtrace.Tracer
@@ -99,20 +98,13 @@ type Sim struct {
 	// (see AtNext). defSlot < 0 means the slot is empty.
 	defSlot int32
 	defEnt  heapEnt
-
-	// limit is the active RunUntil horizon. FireInline must not advance the
-	// clock past it, because staged events beyond the horizon stay pending.
-	limit Time
 }
-
-// maxTime is the largest representable Time; used as the "no horizon" limit.
-const maxTime = Time(1<<63 - 1)
 
 type stopper interface{ stop() }
 
 // New creates a simulator with a deterministic RNG seeded by seed.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed)), defSlot: -1, limit: maxTime}
+	return &Sim{rng: rand.New(rand.NewSource(seed)), defSlot: -1}
 }
 
 // Now returns the current virtual time.
@@ -123,10 +115,6 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Fired returns the number of events executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }
-
-// Inlined returns how many of the fired events were executed by FireInline
-// (batch-dispatched without an event record), a subset of Fired.
-func (s *Sim) Inlined() uint64 { return s.inlined }
 
 // Clamped returns the number of At calls that asked for a time in the past
 // and were clamped to "now". A well-formed model never schedules into the
@@ -264,41 +252,6 @@ func (s *Sim) Run() {
 	}
 }
 
-// FireInline performs a whole schedule-and-fire cycle at time t on behalf of
-// the caller, without creating an event record: the calling callback simply
-// keeps executing as if its continuation had been staged and had fired as
-// the very next event. That is only sound when the continuation really would
-// fire next — no staged or heap event at or before t (on a tie the existing
-// event holds the smaller sequence number and must go first), and t not past
-// an active RunUntil horizon — and only from the tail of the currently
-// firing callback, so nothing else runs in between. FireInline returns false
-// when any of those conditions fail and the caller must schedule normally.
-// On success the sequence counter, fired counter, clock, and the
-// KEvSchedule/KEvFire trace emissions advance exactly as an At followed by
-// Step would advance them, so event streams stay byte-identical.
-func (s *Sim) FireInline(t Time) bool {
-	if t < s.now || t > s.limit {
-		return false
-	}
-	if s.defSlot >= 0 && s.defEnt.at <= t {
-		return false
-	}
-	if len(s.pq) > 0 && s.pq[0].at <= t {
-		return false
-	}
-	s.seq++
-	if s.etr != nil {
-		s.etr.Emit(evtrace.Event{Kind: evtrace.KEvSchedule, At: int64(s.now), Core: -1, TID: -1, Arg1: int64(t)})
-	}
-	s.now = t
-	s.fired++
-	s.inlined++
-	if s.etr != nil {
-		s.etr.Emit(evtrace.Event{Kind: evtrace.KEvFire, At: int64(t), Core: -1, TID: -1, Arg1: int64(s.seq)})
-	}
-	return true
-}
-
 // nextAt returns the earliest pending event time across the heap and the
 // continuation slot, and whether any event is pending.
 func (s *Sim) nextAt() (Time, bool) {
@@ -318,9 +271,6 @@ func (s *Sim) nextAt() (Time, bool) {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain pending.
 func (s *Sim) RunUntil(t Time) {
-	saved := s.limit
-	s.limit = t
-	defer func() { s.limit = saved }()
 	for {
 		at, ok := s.nextAt()
 		if !ok || at > t {
