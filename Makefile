@@ -77,10 +77,11 @@ bench-guard:
 	rc=$$?; rm -f $$out; exit $$rc
 
 # Machine-readable benchmark snapshot: run the tier-1 benchmark subset
-# (simkit kernel micros at full benchtime plus the Fig10 / vanilla /
-# optimized macros at one iteration each) and convert the output to
-# BENCH_<yyyymmdd>.json via cmd/benchjson. Commit the file to extend the
-# perf trajectory; the format is documented in EXPERIMENTS.md. An existing
+# (simkit kernel micros at full benchtime, the Fig10 / vanilla /
+# optimized macros at one iteration each, and 64 checked sweep cells) and
+# convert the output to BENCH_<yyyymmdd>.json via cmd/benchjson. Commit the
+# file to extend the perf trajectory; the format is documented in
+# EXPERIMENTS.md. An existing
 # same-day snapshot is never clobbered — rerun with
 # `make bench-json BENCHJSON_FLAGS=-force` to replace it deliberately.
 BENCH_JSON_OUT ?= BENCH_$(shell date +%Y%m%d).json
@@ -101,7 +102,9 @@ bench-json:
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
 		-bench 'BenchmarkFig10$$|BenchmarkVanillaJVM$$|BenchmarkOptimizedJVM$$' . ; \
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
-		-bench 'BenchmarkFleetSweep$$' ./internal/fleet/ ; } \
+		-bench 'BenchmarkFleetSweep$$' ./internal/fleet/ ; \
+	  $(GO) test -run XXX -benchtime 64x -benchmem \
+		-bench 'BenchmarkCheckedCell$$' ./internal/check/ ; } \
 	| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -o $(BENCH_JSON_OUT)
 	@echo "wrote $(BENCH_JSON_OUT)"
 

@@ -3,9 +3,11 @@ package check
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 
 	"repro/internal/affinity"
 	"repro/internal/evtrace"
@@ -232,14 +234,39 @@ func RunCell(cell Cell) *CellResult {
 
 // RunCellOpts is RunCell with explicit RunOptions.
 func RunCellOpts(cell Cell, o RunOptions) *CellResult {
-	res := &CellResult{Cell: cell}
+	return runPooled(&cellScratch, cell, o, evtrace.New(0))
+}
 
-	tr := evtrace.New(0)
+// cellScratch recycles machine storage (jvm.Scratch) across the cells a
+// process checks, so a sweep's cells do not each rebuild the simulator's
+// arenas from nothing. Reuse never changes a digest (see jvm.Scratch).
+var cellScratch = sync.Pool{New: func() any { return new(jvm.Scratch) }}
+
+// scratchPool is the part of sync.Pool runPooled uses; tests substitute a
+// pool that records what comes back.
+type scratchPool interface {
+	Get() any
+	Put(any)
+}
+
+// runPooled runs the cell's checked run on tr and its bare replay, both on
+// one scratch from pool. The scratch goes back to the pool only when
+// neither run panicked: a panic can leave the machine's storage mid-update.
+func runPooled(pool scratchPool, cell Cell, o RunOptions, tr *evtrace.Tracer) (res *CellResult) {
+	sc := pool.Get().(*jvm.Scratch)
+	defer func() {
+		var pe *panicError
+		if !errors.As(res.Err, &pe) {
+			pool.Put(sc)
+		}
+	}()
+	res = &CellResult{Cell: cell}
+
 	ck := New()
 	ck.Attach(tr)
 	an := postmortem.New()
 	an.Attach(tr)
-	checked, err := runCellOnce(cell, o.Items, tr)
+	checked, err := runCellOnce(cell, o.Items, tr, sc)
 	if err != nil {
 		res.Err = err
 		res.Tracer = tr
@@ -265,7 +292,7 @@ func RunCellOpts(cell Cell, o RunOptions) *CellResult {
 		}
 		return res
 	}
-	bare, err := runCellOnce(cell, o.Items, nil)
+	bare, err := runCellOnce(cell, o.Items, nil, sc)
 	if err != nil {
 		res.Err = fmt.Errorf("bare replay: %w", err)
 		res.Tracer = tr
@@ -278,13 +305,18 @@ func RunCellOpts(cell Cell, o RunOptions) *CellResult {
 	return res
 }
 
-// runCellOnce performs one simulation of the cell, optionally on a tracer.
-// Panics (e.g. a tripped VerifyHeap assertion) surface as errors so the
-// sweep reports the cell instead of dying.
-func runCellOnce(cell Cell, items int, tr *evtrace.Tracer) (results []*jvm.Result, err error) {
+// panicError is a run that panicked (e.g. a tripped VerifyHeap assertion).
+type panicError struct{ v any }
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.v) }
+
+// runCellOnce performs one simulation of the cell, optionally on a tracer,
+// on scratch storage sc (nil runs cold). Panics surface as *panicError so
+// the sweep reports the cell instead of dying.
+func runCellOnce(cell Cell, items int, tr *evtrace.Tracer, sc *jvm.Scratch) (results []*jvm.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+			err = &panicError{r}
 		}
 	}()
 	cfg := jvm.Config{
@@ -298,21 +330,16 @@ func runCellOnce(cell Cell, items int, tr *evtrace.Tracer) (results []*jvm.Resul
 		MutexPolicy:    cell.Mutex,
 		VerifyHeap:     true,
 	}
-	topo := cell.topology()
-	const maxSim = 5 * 60 * simkit.Second
+	cfgs := []jvm.Config{cfg}
 	if cell.MultiJVM {
 		cfgB := cfg
 		cfgB.Mutators = 1 + cell.Mutators/2
-		return jvm.RunMultiTraced(cell.Seed, topo, nil, cell.BusyLoops, maxSim, tr, cfg, cfgB)
+		cfgs = append(cfgs, cfgB)
 	}
-	res, err := jvm.Run(jvm.RunSpec{
-		Config: cfg, Topo: topo, Seed: cell.Seed,
-		BusyLoops: cell.BusyLoops, MaxSim: maxSim, EvTracer: tr,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return []*jvm.Result{res}, nil
+	return jvm.RunJVMs(jvm.RunSpec{
+		Topo: cell.topology(), Seed: cell.Seed, BusyLoops: cell.BusyLoops,
+		MaxSim: 5 * 60 * simkit.Second, EvTracer: tr, Scratch: sc,
+	}, cfgs...)
 }
 
 // digestResults hashes everything a run reports — the per-GC reports, lock

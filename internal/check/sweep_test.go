@@ -57,7 +57,7 @@ func TestSweepSmoke(t *testing.T) {
 // into the digested encoding would flake this test.
 func TestDigestStableAcrossRepeatedRuns(t *testing.T) {
 	cell := Cells(42, 1)[0]
-	results, err := runCellOnce(cell, 0, nil)
+	results, err := runCellOnce(cell, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDigestStableAcrossRepeatedRuns(t *testing.T) {
 			t.Fatalf("repeated digest of one result set differs: %s != %s", got, want)
 		}
 	}
-	rerun, err := runCellOnce(cell, 0, nil)
+	rerun, err := runCellOnce(cell, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,13 @@
 // Emit call behind a nil check, so disabled tracing costs one predictable
 // branch and zero allocations (asserted by alloc tests here and by the
 // simkit kernel's zero-alloc tests). Enabled tracing appends into
-// preallocated per-layer ring buffers: pooled Event records, no per-event
-// allocation in steady state, oldest records overwritten when a sink is
-// full. Tracing never touches the simulation's RNG or event queue, so
-// enabling it cannot perturb simulated behaviour: golden outputs are
-// byte-identical with tracing on and off.
+// per-layer ring buffers that grow on demand: a layer's storage starts as a
+// small block on its first event and doubles as it fills, up to the
+// tracer's per-sink cap, so a short run pays only for the events it emits.
+// Once a sink reaches its cap it allocates nothing more and overwrites its
+// oldest records. Tracing never touches the simulation's RNG or event
+// queue, so enabling it cannot perturb simulated behaviour: golden outputs
+// are byte-identical with tracing on and off.
 //
 // This package intentionally imports nothing from the rest of the
 // repository (timestamps are raw int64 nanoseconds, not simkit.Time) so
@@ -224,10 +226,11 @@ func (k Kind) Name() string { return kindMeta[k].name }
 func (k Kind) Span() bool { return kindMeta[k].span }
 
 // Event is one pooled trace record. Events are small values copied into a
-// ring buffer; emitting one never allocates. At/Dur are virtual
-// nanoseconds (At is the span start for span kinds). Core and TID are -1
-// when not applicable; Name must be a preexisting string (a thread or lock
-// name, or a static kind name) — hot paths must never format one.
+// ring buffer; emitting one allocates only when its layer's ring grows.
+// At/Dur are virtual nanoseconds (At is the span start for span kinds).
+// Core and TID are -1 when not applicable; Name must be a preexisting
+// string (a thread or lock name, or a static kind name) — hot paths must
+// never format one.
 type Event struct {
 	At   int64
 	Dur  int64
@@ -240,10 +243,11 @@ type Event struct {
 	Name string
 }
 
-// sink is one layer's ring buffer. The buffer is allocated lazily on the
-// first emit to the layer and then reused forever; when full, the oldest
-// record is overwritten (the tail of a run is what the Perfetto UI and the
-// lock profiler want).
+// sink is one layer's ring buffer. Storage is allocated on the first emit
+// to the layer as a block of min(cap, sinkBlock) records and doubles each
+// time it fills, never past cap. Only a sink holding cap records is a ring:
+// from then on each emit overwrites the oldest record (the tail of a run is
+// what the Perfetto UI and the lock profiler want) and counts a drop.
 type sink struct {
 	buf   []Event
 	next  int
@@ -252,18 +256,30 @@ type sink struct {
 	cap   int
 }
 
+// sinkBlock is a sink's first allocation, in records, when its cap is
+// larger.
+const sinkBlock = 1 << 10
+
 func (s *sink) put(e Event) {
-	if s.buf == nil {
-		s.buf = make([]Event, s.cap)
-	}
 	if s.full {
 		s.drops++
+	} else if s.next == len(s.buf) {
+		s.grow()
 	}
 	s.buf[s.next] = e
 	s.next++
-	if s.next == len(s.buf) {
+	if s.next == s.cap {
 		s.next, s.full = 0, true
 	}
+}
+
+// grow doubles the sink's storage (or allocates its first block), never
+// past cap.
+func (s *sink) grow() {
+	n := min(max(2*len(s.buf), sinkBlock), s.cap)
+	buf := make([]Event, n)
+	copy(buf, s.buf)
+	s.buf = buf
 }
 
 // events appends the sink's records in emission order to out.
@@ -300,8 +316,8 @@ type Tracer struct {
 }
 
 // New creates a tracer whose per-layer rings hold capPerSink records each
-// (0 = DefaultSinkCap). Ring storage is allocated lazily per layer on
-// first use.
+// (0 = DefaultSinkCap). Ring storage is allocated per layer on first use
+// and grows with the events the layer receives, up to capPerSink.
 func New(capPerSink int) *Tracer {
 	if capPerSink <= 0 {
 		capPerSink = DefaultSinkCap

@@ -716,7 +716,7 @@ func (h *Heap) ReachableFrom(roots []ObjID) map[ObjID]bool {
 // operations. It returns an error describing the first violation.
 func (h *Heap) CheckInvariants() error {
 	var eden, from, to, old int64
-	count := map[Space]int{}
+	var count [SpaceOld + 1]int // objects per space
 	for id := 1; id < len(h.meta); id++ {
 		count[h.meta[id].space]++
 		switch h.meta[id].space {

@@ -40,6 +40,19 @@ type RunSpec struct {
 // result. An ErrOutOfMemory run still returns a Result (with Err set);
 // other failures return an error.
 func Run(spec RunSpec) (*Result, error) {
+	rs, err := RunJVMs(spec, spec.Config)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// RunJVMs executes cfgs side by side on one machine (§5.7) and returns
+// their results in order. spec describes the machine: topology, scheduler,
+// seed, busy loops, time bound, tracing, metrics and scratch; its Config
+// field is not read. JVM i runs with its Seed offset by i·1000003, so
+// co-running instances of one config draw distinct streams.
+func RunJVMs(spec RunSpec, cfgs ...Config) ([]*Result, error) {
 	topo := spec.Topo
 	if topo == nil {
 		topo = ostopo.PaperTestbed()
@@ -59,20 +72,30 @@ func Run(spec RunSpec) (*Result, error) {
 	if spec.BusyLoops > 0 {
 		m.AddBusyLoops(spec.BusyLoops)
 	}
-	j, err := m.AddJVM(spec.Config)
-	if err != nil {
-		return nil, err
+	jvms := make([]*JVM, 0, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Seed += int64(i * 1000003)
+		j, err := m.AddJVM(cfg)
+		if err != nil {
+			return nil, err
+		}
+		jvms = append(jvms, j)
 	}
 	if err := m.Run(maxSim); err != nil {
 		return nil, err
 	}
-	res := j.Result()
 	if tr != nil {
 		tr.CloseOpen(m.Sim.Now())
-		res.Trace = tr
-		res.NumCPUs = m.K.NumCPUs()
 	}
-	return res, nil
+	out := make([]*Result, len(jvms))
+	for i, j := range jvms {
+		out[i] = j.Result()
+		if tr != nil {
+			out[i].Trace = tr
+			out[i].NumCPUs = m.K.NumCPUs()
+		}
+	}
+	return out, nil
 }
 
 // RunMulti executes several JVMs sharing one machine (§5.7) and returns
@@ -86,32 +109,8 @@ func RunMulti(seed int64, topo *ostopo.Topology, sched *cfs.Params, busyLoops in
 // task ids are namespaced by its instance, so one bus carries all of them
 // unambiguously.
 func RunMultiTraced(seed int64, topo *ostopo.Topology, sched *cfs.Params, busyLoops int, maxSim simkit.Time, tr *evtrace.Tracer, cfgs ...Config) ([]*Result, error) {
-	if topo == nil {
-		topo = ostopo.PaperTestbed()
-	}
-	if maxSim <= 0 {
-		maxSim = 20 * 60 * simkit.Second
-	}
-	m := NewMachineTraced(seed, topo, sched, tr)
-	defer m.Close()
-	if busyLoops > 0 {
-		m.AddBusyLoops(busyLoops)
-	}
-	jvms := make([]*JVM, 0, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.Seed += int64(i * 1000003)
-		j, err := m.AddJVM(cfg)
-		if err != nil {
-			return nil, err
-		}
-		jvms = append(jvms, j)
-	}
-	if err := m.Run(maxSim); err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(jvms))
-	for i, j := range jvms {
-		out[i] = j.Result()
-	}
-	return out, nil
+	return RunJVMs(RunSpec{
+		Topo: topo, Sched: sched, Seed: seed,
+		BusyLoops: busyLoops, MaxSim: maxSim, EvTracer: tr,
+	}, cfgs...)
 }

@@ -6,7 +6,8 @@ package jvm
 // table, and every mutator's working buffers from nothing — the dominant
 // steady-state allocation cost of an experiment run. A Scratch carries all
 // of those backing arrays from a finished cell to the next one on the same
-// pool worker (runner.Pool's GetScratch/PutScratch free-list).
+// pool worker (runner.Pool's GetScratch/PutScratch free-list, or the
+// package pool internal/check runs checked sweep cells from).
 
 import (
 	"repro/internal/cfs"
