@@ -183,12 +183,16 @@ serve-smoke:
 # Perfetto file containing events from all five instrumented layers
 # (tracecheck exits non-zero otherwise), and the full scale-4 evaluation
 # with tracing enabled must still match the committed golden fixture.
+# Then the scheduling timeline, a bus subscriber: one gcsim -timeline run,
+# and the committed timeline fixtures must render byte-identically.
 TRACE_SMOKE_OUT ?= /tmp/gcsim-trace-smoke.json
 trace-smoke:
 	$(GO) run ./cmd/gcsim -bench lusearch -mutators 8 -gcthreads 4 \
 		-evtrace $(TRACE_SMOKE_OUT) -lockprofile -metrics
 	$(GO) run ./cmd/tracecheck $(TRACE_SMOKE_OUT)
 	$(GO) test -run 'TestGoldenScale4TracingEnabled' ./internal/experiments/
+	$(GO) run ./cmd/gcsim -bench lusearch -timeline
+	$(GO) test -run 'TestTimelineFixtures' ./internal/schedtrace/
 
 # Pause-postmortem smoke test: run a reduced checked cell with blame
 # attribution, write the postmortem JSON, verify its internal invariant

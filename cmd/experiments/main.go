@@ -219,18 +219,10 @@ func renderTimeline(w io.Writer, id string, tc *experiments.TimelineCapture) err
 	if r == nil {
 		return fmt.Errorf("-timeline %d: experiment %s has no such cell", tc.Cell, id)
 	}
-	if len(r.Reports) == 0 || r.Trace == nil {
-		return fmt.Errorf("-timeline %d: cell recorded no collections", tc.Cell)
+	title := fmt.Sprintf("timeline: %s cell %d (%s)", id, tc.Cell, r.Benchmark)
+	if err := schedtrace.RenderMidGC(w, &tc.Recorder, r.NumCPUs, r.Reports, title); err != nil {
+		return fmt.Errorf("-timeline %d: %w", tc.Cell, err)
 	}
-	rep := r.Reports[len(r.Reports)/2]
-	pad := rep.Pause() / 4
-	from, to := rep.Start-pad, rep.End+pad
-	if from < 0 {
-		from = 0
-	}
-	fmt.Fprintf(w, "timeline: %s cell %d (%s): GC #%d %s, pause %v, %d cores used\n",
-		id, tc.Cell, r.Benchmark, rep.Seq, rep.Kind, rep.Pause(), rep.CoresUsed())
-	schedtrace.Render(w, r.Trace, r.NumCPUs, from, to, schedtrace.Options{Width: 100, Legend: true})
 	return nil
 }
 

@@ -266,32 +266,24 @@ func report(label string, r *core.Result, printLog bool) {
 	}
 }
 
-// renderTimeline runs the configuration with scheduling tracing and draws
-// the timeline around a representative mid-run minor GC — the stacked
-// vanilla collection and the spread optimized one are plainly visible.
+// renderTimeline runs the configuration with a schedtrace recorder on the
+// event bus and draws the timeline around a representative mid-run GC.
 func renderTimeline(cfg core.Config) error {
 	spec, err := core.BuildRunSpec(cfg)
 	if err != nil {
 		return err
 	}
-	spec.Trace = true
+	// The recorder subscribes to the whole stream, so the rings need not
+	// retain anything.
+	spec.EvTracer = evtrace.New(1)
+	var rec schedtrace.Recorder
+	rec.Attach(spec.EvTracer)
 	r, err := jvm.Run(spec)
 	if err != nil {
 		return err
 	}
-	if len(r.Reports) == 0 || r.Trace == nil {
-		return fmt.Errorf("no collections recorded")
-	}
-	rep := r.Reports[len(r.Reports)/2]
-	pad := rep.Pause() / 4
-	from, to := rep.Start-pad, rep.End+pad
-	if from < 0 {
-		from = 0
-	}
-	fmt.Printf("%s (%s): GC #%d %s, pause %v, %d cores used\n",
-		r.Benchmark, cfg.Optimizations, rep.Seq, rep.Kind, rep.Pause(), rep.CoresUsed())
-	schedtrace.Render(os.Stdout, r.Trace, r.NumCPUs, from, to, schedtrace.Options{Width: 100, Legend: true})
-	return nil
+	title := fmt.Sprintf("%s (%s)", r.Benchmark, cfg.Optimizations)
+	return schedtrace.RenderMidGC(os.Stdout, &rec, r.NumCPUs, r.Reports, title)
 }
 
 // compareRuns averages vanilla and optimized over several seeds — the

@@ -28,7 +28,6 @@ type Kernel struct {
 	balEvents []simkit.Event
 	balancers []*balancer
 	shutdown  bool
-	trace     *Trace
 	etr       *evtrace.Tracer
 
 	Stats KernelStats
@@ -308,9 +307,6 @@ func (c *core) onTimer(kind timerKind) {
 func (c *core) deschedule(t *Thread, newState State) {
 	now := c.k.Sim.Now()
 	sc := c.siblingCheckpoint() // account the sibling at the pre-flip speed
-	if c.k.trace != nil {
-		c.k.trace.onDeschedule(c.id, now)
-	}
 	if c.k.etr != nil {
 		// The whole on-CPU interval becomes one dispatch span; Arg1 carries
 		// the core's min-vruntime for the monotonicity invariant.
@@ -408,9 +404,6 @@ func (c *core) pickNext() {
 		t.remaining += k.P.CtxSwitchCost
 	}
 	c.lastRun = t
-	if k.trace != nil {
-		k.trace.onDispatch(c.id, t, now)
-	}
 	if sc != nil {
 		sc.reprogram() // sibling now runs at reduced speed
 	}

@@ -167,6 +167,52 @@ func BuildLockProfiles(t *Tracer) []*LockProfile {
 	return out
 }
 
+// Acquisition is one entry of a monitor's acquisition log (§3.2's
+// root-cause trace).
+type Acquisition struct {
+	At        int64 // virtual ns
+	Thread    string
+	Fast      bool // won through the CAS fast path
+	Reacquire bool // the thread that last released the lock took it again
+	Queued    int  // waiters queued (cxq + EntryList + OnDeck) at that instant
+}
+
+// AcquisitionLog is a bus subscriber that logs every Lock acquisition of
+// the monitor named Lock: KLockFast, and KLockHandoff with Arg2 == 0
+// (Arg2 == 1 marks a Wait re-acquisition, which is not a Lock call). Being
+// a subscriber it is complete even when the rings drop records.
+type AcquisitionLog struct {
+	Lock    string
+	Entries []Acquisition
+
+	tr       *Tracer
+	released int32 // TID of the last KLockRelease (-1 = none yet)
+}
+
+// Attach subscribes l to t's event stream and remembers the tracer for
+// thread names. Attach before the run so the log sees the monitor's whole
+// stream.
+func (l *AcquisitionLog) Attach(t *Tracer) {
+	l.tr, l.released = t, -1
+	t.Subscribe(l.observe)
+}
+
+func (l *AcquisitionLog) observe(e Event) {
+	if e.Name != l.Lock {
+		return
+	}
+	switch {
+	case e.Kind == KLockRelease:
+		l.released = e.TID
+	case e.Kind == KLockFast, e.Kind == KLockHandoff && e.Arg2 == 0:
+		l.Entries = append(l.Entries, Acquisition{
+			At: e.At, Thread: l.tr.ThreadName(e.TID),
+			Fast: e.Kind == KLockFast, Reacquire: e.TID == l.released,
+			Queued: int(e.Arg1),
+		})
+	}
+}
+
 // PrevOwnerWinRate is the share of (non-first) acquisitions won by the
 // immediately previous owner — the paper's "previous owner always wins".
 func (p *LockProfile) PrevOwnerWinRate() float64 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/evtrace"
+	"repro/internal/jmutex"
 	"repro/internal/jvm"
 	"repro/internal/ostopo"
 	"repro/internal/simkit"
@@ -46,5 +47,54 @@ func TestLockProfilesMultiJVM(t *testing.T) {
 	if merged.Acquires != totalAcquires {
 		t.Errorf("merged profile has %d acquisitions, per-monitor sum is %d",
 			merged.Acquires, totalAcquires)
+	}
+}
+
+// TestAcquisitionLogCountsEveryLock: on both monitor disciplines the
+// acquisition log holds one entry per Lock acquisition of the
+// GCTaskManager — the monitor's fast plus slow acquisitions, less the
+// Wait re-acquisitions (KLockHandoff with Arg2 == 1), which are not Lock
+// calls. FairFIFO hands every queued acquisition off directly, so a log
+// that only saw the competitive slow path would miss most of them there.
+func TestAcquisitionLogCountsEveryLock(t *testing.T) {
+	for _, pol := range []jmutex.Policy{jmutex.PolicyHotSpot, jmutex.PolicyFairFIFO} {
+		t.Run(pol.String(), func(t *testing.T) {
+			p := workload.Lusearch()
+			p.TotalItems /= 4
+			cfg := jvm.Config{Profile: p, Mutators: 16, MutexPolicy: pol}
+			tr := evtrace.New(1)
+			acqs := &evtrace.AcquisitionLog{Lock: "GCTaskManager"}
+			acqs.Attach(tr)
+			waits, handoffs := 0, 0
+			tr.Subscribe(func(e evtrace.Event) {
+				if e.Kind == evtrace.KLockHandoff && e.Name == acqs.Lock {
+					handoffs++
+					if e.Arg2 == 1 {
+						waits++
+					}
+				}
+			})
+			r, err := jvm.Run(jvm.RunSpec{Config: cfg, Seed: 42, EvTracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := r.Monitor
+			if want := m.FastAcquires + m.SlowAcquires - waits; len(acqs.Entries) != want {
+				t.Errorf("log has %d entries, want fast %d + slow %d - wait re-acquisitions %d = %d",
+					len(acqs.Entries), m.FastAcquires, m.SlowAcquires, waits, want)
+			}
+			slow := 0
+			for _, a := range acqs.Entries {
+				if !a.Fast {
+					slow++
+				}
+				if a.Thread == "" {
+					t.Fatalf("entry %+v has no thread name", a)
+				}
+			}
+			if slow != handoffs-waits || pol == jmutex.PolicyFairFIFO && slow == 0 {
+				t.Errorf("log has %d queued acquisitions, bus has %d Lock handoffs", slow, handoffs-waits)
+			}
+		})
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/jvm"
 	"repro/internal/postmortem"
 	"repro/internal/runner"
+	"repro/internal/schedtrace"
 	"repro/internal/simkit"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -72,11 +73,13 @@ type Options struct {
 }
 
 // TimelineCapture selects one simulation cell (by submission index) whose
-// cfs scheduling trace should be kept. After the experiment returns,
-// Result holds that cell's run for schedtrace rendering.
+// scheduling timeline should be kept. After the experiment returns, Result
+// holds that cell's run and Recorder its run segments, for rendering with
+// schedtrace.RenderMidGC.
 type TimelineCapture struct {
-	Cell   int
-	Result *jvm.Result
+	Cell     int
+	Result   *jvm.Result
+	Recorder schedtrace.Recorder
 }
 
 // CheckCollector accumulates invariant-checker outcomes across all the
@@ -284,9 +287,7 @@ func run(opt Options, cfg jvm.Config, seedOff int64, busy int) *jvm.Result {
 }
 
 // runIndexed executes cell idx of the experiment, attaching the
-// observability hooks the options ask for: a per-cell event tracer
-// (exported as TraceDir/cell-NNN.json) and the one-cell scheduling trace
-// behind Timeline. Both are record-only, so results are unchanged.
+// observability hooks the options ask for (see runSpec).
 func runIndexed(opt Options, idx int, cfg jvm.Config, seedOff int64, busy int) *jvm.Result {
 	cfg.Seed = opt.Seed + seedOff
 	spec := jvm.RunSpec{Config: cfg, Seed: opt.Seed + seedOff, BusyLoops: busy}
@@ -294,10 +295,14 @@ func runIndexed(opt Options, idx int, cfg jvm.Config, seedOff int64, busy int) *
 }
 
 // runSpec executes one prepared RunSpec as cell idx with the options'
-// observability hooks attached. The cell's machine is built from (and
-// harvested back into) a per-worker scratch held on the pool's free-list,
-// so a sweep rebuilds its event arenas, runqueues, and heap object tables
-// once per worker instead of once per cell.
+// observability hooks attached: the event tracer (exported as
+// TraceDir/cell-NNN.json), the invariant checker, the postmortem analyzer
+// and the Timeline recorder. All of them subscribe to one bus — the
+// caller's spec.EvTracer when set, else a tracer made here — and all are
+// record-only, so results are unchanged. The cell's machine is built from
+// (and harvested back into) a per-worker scratch held on the pool's
+// free-list, so a sweep rebuilds its event arenas, runqueues, and heap
+// object tables once per worker instead of once per cell.
 func runSpec(opt Options, idx int, spec jvm.RunSpec) *jvm.Result {
 	sc, _ := opt.Pool.GetScratch().(*jvm.Scratch)
 	if sc == nil {
@@ -305,8 +310,9 @@ func runSpec(opt Options, idx int, spec jvm.RunSpec) *jvm.Result {
 	}
 	spec.Scratch = sc
 	defer opt.Pool.PutScratch(sc)
-	var tr *evtrace.Tracer
-	if ((opt.TraceDir != "" || opt.PostmortemDir != "") && idx >= 0) || opt.Check != nil {
+	capture := opt.Timeline != nil && idx == opt.Timeline.Cell
+	tr := spec.EvTracer
+	if tr == nil && (((opt.TraceDir != "" || opt.PostmortemDir != "") && idx >= 0) || opt.Check != nil || capture) {
 		tr = evtrace.New(evtrace.DefaultSinkCap)
 		spec.EvTracer = tr
 	}
@@ -320,9 +326,8 @@ func runSpec(opt Options, idx int, spec jvm.RunSpec) *jvm.Result {
 		an = postmortem.New()
 		an.Attach(tr)
 	}
-	capture := opt.Timeline != nil && idx == opt.Timeline.Cell
 	if capture {
-		spec.Trace = true
+		opt.Timeline.Recorder.Attach(tr)
 	}
 	r, err := jvm.Run(spec)
 	if err != nil {

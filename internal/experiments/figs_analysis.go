@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/evtrace"
 	"repro/internal/jvm"
 	"repro/internal/pscavenge"
+	"repro/internal/simkit"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -276,8 +278,12 @@ func Table1(opt Options) *Result {
 func Fig5(opt Options) *Result {
 	opt = opt.norm()
 	p := opt.scaled(workload.Lusearch())
-	cfg := jvm.Config{Profile: p, Mutators: 16, RecordLockLog: true}
-	r := run(opt, cfg, 5000, 0)
+	const seedOff = 5000
+	cfg := jvm.Config{Profile: p, Mutators: 16, Seed: opt.Seed + seedOff}
+	tr := evtrace.New(evtrace.DefaultSinkCap)
+	acqs := &evtrace.AcquisitionLog{Lock: "GCTaskManager"}
+	acqs.Attach(tr)
+	r := runSpec(opt, opt.nextCells(1), jvm.RunSpec{Config: cfg, Seed: cfg.Seed, EvTracer: tr})
 	res := &Result{ID: "fig5", Title: "GCTaskManager lock acquisitions during a stacked GC (§3.2)"}
 
 	// Pick a representative mid-run minor GC window.
@@ -297,8 +303,9 @@ func Fig5(opt Options) *Result {
 	tab := stats.NewTable(fmt.Sprintf("acquisition log, GC #%d (first 24 events)", rep.Seq),
 		"t-into-GC", "thread", "path", "owner-reacquire", "queued-waiters")
 	shown, reacq, total := 0, 0, 0
-	for _, ev := range r.LockLog {
-		if ev.At < rep.Start || ev.At > rep.End {
+	for _, ev := range acqs.Entries {
+		at := simkit.Time(ev.At)
+		if at < rep.Start || at > rep.End {
 			continue
 		}
 		total++
@@ -310,7 +317,7 @@ func Fig5(opt Options) *Result {
 			if ev.Fast {
 				path = "fast"
 			}
-			tab.AddRow((ev.At - rep.Start).String(), ev.Thread, path, ev.Reacquire, ev.Queued)
+			tab.AddRow((at - rep.Start).String(), ev.Thread, path, ev.Reacquire, ev.Queued)
 			shown++
 		}
 	}
@@ -321,8 +328,8 @@ func Fig5(opt Options) *Result {
 	// (each must fetch its StealTask through the wake chain).
 	half := rep.Start + rep.Pause()/2
 	distinct := map[string]bool{}
-	for _, ev := range r.LockLog {
-		if ev.At >= rep.Start && ev.At <= half && strings.HasPrefix(ev.Thread, "GCTaskThread") {
+	for _, ev := range acqs.Entries {
+		if at := simkit.Time(ev.At); at >= rep.Start && at <= half && strings.HasPrefix(ev.Thread, "GCTaskThread") {
 			distinct[ev.Thread] = true
 		}
 	}

@@ -72,15 +72,6 @@ type Stats struct {
 	MaxConcurrentSeekers int
 }
 
-// AcqEvent records one lock acquisition (when logging is enabled).
-type AcqEvent struct {
-	At        simkit.Time
-	Thread    string
-	Fast      bool // won through the CAS fast path
-	Reacquire bool // the previous owner re-acquired
-	Queued    int  // waiters queued (cxq + EntryList + OnDeck) at that instant
-}
-
 // Monitor is a HotSpot native monitor: mutual exclusion plus a WaitSet.
 type Monitor struct {
 	Name   string
@@ -100,9 +91,6 @@ type Monitor struct {
 	seekers int // threads awake and competing right now
 
 	Stats Stats
-	// RecordLog enables the acquisition log (Log) for §3.2-style traces.
-	RecordLog bool
-	Log       []AcqEvent
 
 	etr *evtrace.Tracer // captured from the kernel at construction
 }
@@ -158,20 +146,6 @@ func (m *Monitor) seek(delta int) {
 	}
 }
 
-// logAcq appends to the acquisition log when enabled.
-func (m *Monitor) logAcq(t *cfs.Thread, fast bool) {
-	if !m.RecordLog {
-		return
-	}
-	m.Log = append(m.Log, AcqEvent{
-		At:        m.k.Sim.Now(),
-		Thread:    t.Name,
-		Fast:      fast,
-		Reacquire: m.lastOwner == t,
-		Queued:    m.QueuedWaiters(),
-	})
-}
-
 // Lock acquires the monitor, blocking as needed. It is composed of the
 // three fold-friendly pieces below (LockBegin / TryLockFast /
 // LockContended) so that a driver-serviced compute plan can run the
@@ -197,8 +171,8 @@ func (m *Monitor) LockBegin(t *cfs.Thread) simkit.Time {
 }
 
 // TryLockFast attempts the post-CAS fast path for t, performing the full
-// fast-acquisition bookkeeping (stats, trace events, acquisition log,
-// ownership) on success. On failure the thread remains a seeker and must
+// fast-acquisition bookkeeping (stats, trace events, ownership) on
+// success. On failure the thread remains a seeker and must
 // finish the acquisition with LockContended.
 func (m *Monitor) TryLockFast(t *cfs.Thread) bool {
 	switch m.policy {
@@ -221,7 +195,6 @@ func (m *Monitor) TryLockFast(t *cfs.Thread) bool {
 		if m.etr != nil {
 			m.emit(evtrace.KLockFast, t, int64(m.QueuedWaiters()), reacq)
 		}
-		m.logAcq(t, true)
 		m.owner = t
 		m.seek(-1)
 		return true
@@ -233,7 +206,6 @@ func (m *Monitor) TryLockFast(t *cfs.Thread) bool {
 		if m.etr != nil {
 			m.emit(evtrace.KLockFast, t, 0, reacquireArg(m, t))
 		}
-		m.logAcq(t, true)
 		m.owner = t
 		m.seek(-1)
 		return true
@@ -266,7 +238,6 @@ func (m *Monitor) competitiveSlow(e *cfs.Env) {
 			if m.etr != nil {
 				m.emit(evtrace.KLockHandoff, t, int64(m.QueuedWaiters()), 0)
 			}
-			m.logAcq(t, false)
 			m.owner = t
 			m.Stats.SlowAcquires++
 			return

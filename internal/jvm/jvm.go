@@ -40,9 +40,6 @@ type Config struct {
 	AdaptiveSizing bool
 	// VerifyHeap enables -XX:+VerifyAfterGC-style invariant checking.
 	VerifyHeap bool
-	// RecordLockLog captures the GCTaskManager monitor's acquisition log
-	// into Result.LockLog (§3.2's root-cause trace).
-	RecordLockLog bool
 	// NUMARemoteFactor, when > 1, enables the NUMA memory-locality cost
 	// model: objects are homed on the allocating thread's node
 	// (first-touch) and remote accesses during GC cost this factor more.
@@ -104,7 +101,6 @@ type Result struct {
 	Reports []*pscavenge.GCReport
 	Steal   *taskq.Stats
 	Monitor jmutex.Stats
-	LockLog []jmutex.AcqEvent
 	Kernel  cfs.KernelStats
 	Heap    heap.Stats
 	Rebinds int
@@ -113,9 +109,8 @@ type Result struct {
 	Latency       *stats.Histogram // milliseconds
 	ThroughputOPS float64
 
-	// Trace is the scheduling timeline (when RunSpec.Trace was set) and
-	// NumCPUs the machine size, for rendering with internal/schedtrace.
-	Trace   *cfs.Trace
+	// NumCPUs is the machine size (logical CPUs), e.g. the row count of
+	// an internal/schedtrace timeline.
 	NumCPUs int
 
 	// MutatorDeepWakes counts mutator wake-ups that paid a deep C-state
@@ -406,7 +401,6 @@ func (m *Machine) AddJVM(cfg Config) (*JVM, error) {
 		TaskAffinity:   cfg.TaskAffinity,
 		AdaptiveSizing: cfg.AdaptiveSizing,
 		VerifyHeap:     cfg.VerifyHeap,
-		RecordLockLog:  cfg.RecordLockLog,
 		OnWorkerStart:  j.Bal.WorkerStart,
 		OnGCWake:       j.Bal.GCWake,
 		Metrics:        m.Metrics,
@@ -479,10 +473,10 @@ func (j *JVM) Result() *Result {
 		Reports: j.Eng.Reports,
 		Steal:   j.Eng.Steal,
 		Monitor: j.Eng.MonitorStats(),
-		LockLog: j.Eng.LockLog(),
 		Kernel:  j.M.K.Stats,
 		Heap:    j.H.Stats,
 		Rebinds: j.Bal.Rebinds,
+		NumCPUs: j.M.K.NumCPUs(),
 
 		Latency:   j.latency,
 		ItemsDone: j.itemsDone,

@@ -21,8 +21,6 @@ type RunSpec struct {
 	BusyLoops int
 	// MaxSim bounds virtual time (0 = 20 minutes).
 	MaxSim simkit.Time
-	// Trace records a scheduling timeline (cfs.Trace) into Result.Trace.
-	Trace bool
 	// EvTracer, when non-nil, receives structured events from every layer
 	// (simkit, cfs, jmutex, taskq, pscavenge) for Perfetto export and lock
 	// profiling. Tracing never perturbs the simulation.
@@ -49,7 +47,7 @@ func Run(spec RunSpec) (*Result, error) {
 
 // RunJVMs executes cfgs side by side on one machine (§5.7) and returns
 // their results in order. spec describes the machine: topology, scheduler,
-// seed, busy loops, time bound, tracing, metrics and scratch; its Config
+// seed, busy loops, time bound, event tracer, metrics and scratch; its Config
 // field is not read. JVM i runs with its Seed offset by i·1000003, so
 // co-running instances of one config draw distinct streams.
 func RunJVMs(spec RunSpec, cfgs ...Config) ([]*Result, error) {
@@ -64,11 +62,6 @@ func RunJVMs(spec RunSpec, cfgs ...Config) ([]*Result, error) {
 	m := NewMachineScratch(spec.Seed, topo, spec.Sched, spec.EvTracer, spec.Scratch)
 	defer m.Close()
 	m.Metrics = spec.Metrics
-	var tr *cfs.Trace
-	if spec.Trace {
-		tr = cfs.NewTrace()
-		m.K.SetTrace(tr)
-	}
 	if spec.BusyLoops > 0 {
 		m.AddBusyLoops(spec.BusyLoops)
 	}
@@ -84,16 +77,9 @@ func RunJVMs(spec RunSpec, cfgs ...Config) ([]*Result, error) {
 	if err := m.Run(maxSim); err != nil {
 		return nil, err
 	}
-	if tr != nil {
-		tr.CloseOpen(m.Sim.Now())
-	}
 	out := make([]*Result, len(jvms))
 	for i, j := range jvms {
 		out[i] = j.Result()
-		if tr != nil {
-			out[i].Trace = tr
-			out[i].NumCPUs = m.K.NumCPUs()
-		}
 	}
 	return out, nil
 }

@@ -40,9 +40,6 @@ type Options struct {
 	// AdaptiveSizing enables the simple generation-resizing feedback of
 	// the final synchronization phase.
 	AdaptiveSizing bool
-	// RecordLockLog enables the GCTaskManager monitor's acquisition log
-	// (the §3.2 root-cause trace; see Engine.LockLog).
-	RecordLockLog bool
 	// VerifyHeap runs the heap's invariant checker after every collection
 	// (accounting, space lists, remembered-set completeness) and panics on
 	// a violation — the simulation analogue of -XX:+VerifyAfterGC.
@@ -144,7 +141,6 @@ func New(k *cfs.Kernel, h *heap.Heap, opt Options) *Engine {
 		g.seenEpoch[i] = -1
 	}
 	g.mgr = newManager(g, opt.MutexPolicy, opt.TaskAffinity)
-	g.mgr.mon.RecordLog = opt.RecordLockLog
 	g.initialEden = h.Config().EdenBytes
 	g.localThr = g.localThreads()
 	g.workers = make([]*cfs.Thread, n)
@@ -582,7 +578,3 @@ func (g *Engine) resize() {
 
 // MonitorStats returns the GCTaskManager monitor's lock statistics.
 func (g *Engine) MonitorStats() jmutex.Stats { return g.mgr.mon.Stats }
-
-// LockLog returns the GCTaskManager monitor's acquisition log (empty unless
-// Options.RecordLockLog was set).
-func (g *Engine) LockLog() []jmutex.AcqEvent { return g.mgr.mon.Log }

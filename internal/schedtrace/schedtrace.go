@@ -1,6 +1,7 @@
-// Package schedtrace renders cfs.Trace recordings as ASCII timelines —
-// cores down the side, time across — so scheduling phenomena like the
-// paper's GC thread stacking are visible at a glance:
+// Package schedtrace records per-core run segments from the evtrace bus
+// and renders them as ASCII timelines — cores down the side, time across —
+// so scheduling phenomena like the paper's GC thread stacking are visible
+// at a glance:
 //
 //	cpu00 |MMMMMMMMMM----GGGGGGGGGGGGGGGGGGGGGG----MMMMMMMMM|
 //	cpu01 |MMMMMMMMMM----------------G-------------MMMMMMMMM|
@@ -12,13 +13,97 @@
 package schedtrace
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
-	"repro/internal/cfs"
+	"repro/internal/evtrace"
+	"repro/internal/pscavenge"
 	"repro/internal/simkit"
 )
+
+// Segment is one contiguous stretch of a thread running on a core.
+type Segment struct {
+	Core  int32
+	TID   int32
+	Name  string // thread name
+	Start simkit.Time
+	End   simkit.Time
+}
+
+// Recorder rebuilds the per-core run segments from a tracer's cfs events:
+// a dispatch pop (KRunqPop with Arg2 == 0) opens a segment on its core and
+// that core's next KDispatch span closes it. As a bus subscriber it sees
+// every event, so ring drops never cost it a segment. The zero value is
+// ready to Attach.
+type Recorder struct {
+	segs []Segment
+	open []int       // core -> index+1 of its open segment (0 = none)
+	last simkit.Time // latest bus instant observed
+}
+
+// Attach subscribes r to t's event stream. Attach before the machine is
+// built so the recorder sees the run from its first dispatch.
+func (r *Recorder) Attach(t *evtrace.Tracer) { t.Subscribe(r.observe) }
+
+func (r *Recorder) observe(e evtrace.Event) {
+	if end := simkit.Time(e.At + e.Dur); end > r.last {
+		r.last = end
+	}
+	switch e.Kind {
+	case evtrace.KRunqPop:
+		if e.Arg2 != 0 {
+			return // a migration removal, not a dispatch
+		}
+		for int(e.Core) >= len(r.open) {
+			r.open = append(r.open, 0)
+		}
+		r.segs = append(r.segs, Segment{Core: e.Core, TID: e.TID, Name: e.Name, Start: simkit.Time(e.At), End: -1})
+		r.open[e.Core] = len(r.segs)
+	case evtrace.KDispatch:
+		if int(e.Core) < len(r.open) && r.open[e.Core] > 0 {
+			r.segs[r.open[e.Core]-1].End = simkit.Time(e.At + e.Dur)
+			r.open[e.Core] = 0
+		}
+	}
+}
+
+// Segments returns a copy of every recorded segment in dispatch order.
+// Segments still open end at the last bus instant the recorder saw — on a
+// jvm machine, the simulation's final time.
+func (r *Recorder) Segments() []Segment {
+	out := append([]Segment(nil), r.segs...)
+	for _, i := range r.open {
+		if i > 0 {
+			out[i-1].End = r.last
+		}
+	}
+	return out
+}
+
+// Window returns the segments overlapping [from, to), clipped to the
+// window: starts are clamped to from and ends to to. An empty or inverted
+// window returns nil, as do segments that clip to zero length, so callers
+// can sum returned durations without re-clamping.
+func (r *Recorder) Window(from, to simkit.Time) []Segment {
+	if to <= from {
+		return nil
+	}
+	var out []Segment
+	for _, s := range r.Segments() {
+		s.Start = max(s.Start, from)
+		s.End = min(s.End, to)
+		if s.Start < s.End {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// classes are the timeline classes in tie-break precedence: when two
+// classes ran equally long in one column, the earlier one is drawn.
+const classes = "GVMBo"
 
 // Classify maps a thread name to its timeline rune.
 func Classify(name string) byte {
@@ -40,14 +125,14 @@ func Classify(name string) byte {
 type Options struct {
 	// Width is the number of time buckets (default 100).
 	Width int
-	// Legend appends the classification legend (default true when zero
-	// value is used via Render).
+	// Legend appends the classification legend.
 	Legend bool
 }
 
-// Render writes an ASCII timeline of tr over [from, to) to w, one row per
-// core. Each bucket shows the class of the thread that ran longest in it.
-func Render(w io.Writer, tr *cfs.Trace, cores int, from, to simkit.Time, opt Options) {
+// Render writes an ASCII timeline of r over [from, to) to w, one row per
+// core. Each bucket shows the class of the thread that ran longest in it,
+// ties going to the class first in "GVMBo".
+func Render(w io.Writer, r *Recorder, cores int, from, to simkit.Time, opt Options) {
 	width := opt.Width
 	if width <= 0 {
 		width = 100
@@ -60,31 +145,23 @@ func Render(w io.Writer, tr *cfs.Trace, cores int, from, to simkit.Time, opt Opt
 	if bucket <= 0 {
 		bucket = 1
 	}
-	// rows[core][bucket] -> accumulated run time per class.
-	type cell map[byte]simkit.Time
-	rows := make([][]cell, cores)
+	// rows[core][bucket][class] -> accumulated run time.
+	rows := make([][][len(classes)]simkit.Time, cores)
 	for c := range rows {
-		rows[c] = make([]cell, width)
+		rows[c] = make([][len(classes)]simkit.Time, width)
 	}
-	for _, s := range tr.Window(from, to) {
+	for _, s := range r.Window(from, to) {
 		core := int(s.Core)
 		if core < 0 || core >= cores {
 			continue
 		}
-		cls := Classify(s.Thread.Name)
-		start, end := s.Start, s.End // already clipped to [from, to) by Window
-		for t := start; t < end; {
+		cls := strings.IndexByte(classes, Classify(s.Name))
+		for t := s.Start; t < s.End; {
 			bi := int((t - from) / bucket)
 			if bi >= width {
 				break
 			}
-			bEnd := from + simkit.Time(bi+1)*bucket
-			if bEnd > end {
-				bEnd = end
-			}
-			if rows[core][bi] == nil {
-				rows[core][bi] = cell{}
-			}
+			bEnd := min(from+simkit.Time(bi+1)*bucket, s.End)
 			rows[core][bi][cls] += bEnd - t
 			t = bEnd
 		}
@@ -97,7 +174,7 @@ func Render(w io.Writer, tr *cfs.Trace, cores int, from, to simkit.Time, opt Opt
 			var best simkit.Time
 			for cls, d := range rows[c][bi] {
 				if d > best {
-					best, ch = d, cls
+					best, ch = d, classes[cls]
 				}
 			}
 			b.WriteByte(ch)
@@ -109,58 +186,20 @@ func Render(w io.Writer, tr *cfs.Trace, cores int, from, to simkit.Time, opt Opt
 	}
 }
 
-// CoresActive counts distinct cores on which threads of the given class
-// ran within [from, to).
-func CoresActive(tr *cfs.Trace, class byte, from, to simkit.Time) int {
-	seen := map[int]bool{}
-	for _, s := range tr.Window(from, to) {
-		if Classify(s.Thread.Name) == class {
-			seen[int(s.Core)] = true
-		}
+// RenderMidGC writes a header naming the run's middle collection, then the
+// 100-column timeline around it, padded by a quarter of its pause on each
+// side — the stacked vanilla collection and the spread optimized one are
+// plainly visible. title prefixes the header. It fails when reports is
+// empty.
+func RenderMidGC(w io.Writer, r *Recorder, cores int, reports []*pscavenge.GCReport, title string) error {
+	if len(reports) == 0 {
+		return errors.New("no collections recorded")
 	}
-	return len(seen)
-}
-
-// Validate checks trace invariants: per-core segments must not overlap,
-// and no thread may run on two cores at once. It returns the first
-// violation found, or nil.
-func Validate(tr *cfs.Trace) error {
-	type span struct {
-		start, end simkit.Time
-		seg        cfs.Segment
-	}
-	byCore := map[int][]span{}
-	byThread := map[*cfs.Thread][]span{}
-	for _, s := range tr.Segments {
-		end := s.End
-		if end < 0 {
-			continue // still open
-		}
-		if end < s.Start {
-			return fmt.Errorf("schedtrace: segment with negative length on cpu%d", s.Core)
-		}
-		byCore[int(s.Core)] = append(byCore[int(s.Core)], span{s.Start, end, s})
-		byThread[s.Thread] = append(byThread[s.Thread], span{s.Start, end, s})
-	}
-	check := func(kind string, spans []span) error {
-		// Spans are appended in time order by construction; verify.
-		for i := 1; i < len(spans); i++ {
-			if spans[i].start < spans[i-1].end {
-				return fmt.Errorf("schedtrace: overlapping %s segments at %v (%s vs %s)",
-					kind, spans[i].start, spans[i-1].seg.Thread.Name, spans[i].seg.Thread.Name)
-			}
-		}
-		return nil
-	}
-	for c, spans := range byCore {
-		if err := check(fmt.Sprintf("cpu%d", c), spans); err != nil {
-			return err
-		}
-	}
-	for t, spans := range byThread {
-		if err := check("thread "+t.Name, spans); err != nil {
-			return err
-		}
-	}
+	rep := reports[len(reports)/2]
+	pad := rep.Pause() / 4
+	from, to := max(rep.Start-pad, 0), rep.End+pad
+	fmt.Fprintf(w, "%s: GC #%d %s, pause %v, %d cores used\n",
+		title, rep.Seq, rep.Kind, rep.Pause(), rep.CoresUsed())
+	Render(w, r, cores, from, to, Options{Width: 100, Legend: true})
 	return nil
 }

@@ -5,21 +5,69 @@ import (
 	"testing"
 
 	"repro/internal/cfs"
+	"repro/internal/check"
+	"repro/internal/evtrace"
 	"repro/internal/ostopo"
 	"repro/internal/simkit"
 )
 
 const ms = simkit.Millisecond
 
-func tracedKernel(t *testing.T, cores int) (*simkit.Sim, *cfs.Kernel, *cfs.Trace) {
+// tracedKernel builds a kernel whose bus carries a Recorder and an
+// invariant checker; the test fails at cleanup if the checker saw any
+// violation (the scheduler-trace invariants: one thread per core, each
+// dispatch span covering exactly its stint).
+func tracedKernel(t *testing.T, cores int) (*simkit.Sim, *cfs.Kernel, *Recorder) {
 	t.Helper()
 	sim := simkit.New(1)
 	t.Cleanup(sim.Close)
-	topo := &ostopo.Topology{PhysCores: cores, SMTWays: 1, Nodes: 1}
+	return traced(t, sim, &ostopo.Topology{PhysCores: cores, SMTWays: 1, Nodes: 1})
+}
+
+func traced(t *testing.T, sim *simkit.Sim, topo *ostopo.Topology) (*simkit.Sim, *cfs.Kernel, *Recorder) {
+	t.Helper()
+	tr := evtrace.New(1)
+	sim.SetTracer(tr)
 	k := cfs.NewKernel(sim, topo, cfs.DefaultParams())
-	tr := cfs.NewTrace()
-	k.SetTrace(tr)
-	return sim, k, tr
+	k.SetEvTracer(tr)
+	rec := new(Recorder)
+	rec.Attach(tr)
+	ck := check.New()
+	ck.Attach(tr)
+	t.Cleanup(func() {
+		ck.Finish()
+		if err := ck.Err(); err != nil {
+			t.Error(err)
+		}
+	})
+	return sim, k, rec
+}
+
+// busy sums the recorded run time of thread tid.
+func busy(segs []Segment, tid int32) simkit.Time {
+	var sum simkit.Time
+	for _, s := range segs {
+		if s.TID == tid {
+			sum += s.End - s.Start
+		}
+	}
+	return sum
+}
+
+// forged feeds raw segments through a real tracer as the cfs events that
+// delimit them: a dispatch pop at Start and, unless End is -1 (still
+// open), the KDispatch span ending at End.
+func forged(segs ...Segment) *Recorder {
+	tr := evtrace.New(1)
+	rec := new(Recorder)
+	rec.Attach(tr)
+	for _, s := range segs {
+		tr.Emit(evtrace.Event{Kind: evtrace.KRunqPop, At: int64(s.Start), Core: s.Core, TID: s.TID, Name: s.Name})
+		if s.End >= 0 {
+			tr.Emit(evtrace.Event{Kind: evtrace.KDispatch, At: int64(s.Start), Dur: int64(s.End - s.Start), Core: s.Core, TID: s.TID, Name: s.Name})
+		}
+	}
+	return rec
 }
 
 func TestClassify(t *testing.T) {
@@ -38,7 +86,7 @@ func TestClassify(t *testing.T) {
 }
 
 func TestTraceRecordsSegments(t *testing.T) {
-	sim, k, tr := tracedKernel(t, 2)
+	sim, k, rec := tracedKernel(t, 2)
 	th := k.Spawn("mutator#0", 0, func(e *cfs.Env) {
 		e.Compute(2 * ms)
 		e.Sleep(1 * ms)
@@ -46,20 +94,20 @@ func TestTraceRecordsSegments(t *testing.T) {
 	})
 	for th.State() != cfs.StateDone && sim.Step() {
 	}
-	tr.CloseOpen(sim.Now())
-	if len(tr.Segments) < 2 {
-		t.Fatalf("expected >= 2 segments (sleep splits the run), got %d", len(tr.Segments))
+	segs := rec.Segments()
+	if len(segs) < 2 {
+		t.Fatalf("expected >= 2 segments (sleep splits the run), got %d", len(segs))
 	}
-	if got := tr.BusyTime(th); got != th.CPUTime {
-		t.Errorf("BusyTime = %v, CPUTime = %v; must agree", got, th.CPUTime)
+	if got := busy(segs, int32(th.ID)); got != th.CPUTime {
+		t.Errorf("busy time = %v, CPUTime = %v; must agree", got, th.CPUTime)
 	}
-	if err := Validate(tr); err != nil {
-		t.Error(err)
+	if segs[0].Name != "mutator#0" {
+		t.Errorf("segment names thread %q, want mutator#0", segs[0].Name)
 	}
 }
 
 func TestTraceBusyTimeMatchesCPUTimeUnderContention(t *testing.T) {
-	sim, k, tr := tracedKernel(t, 2)
+	sim, k, rec := tracedKernel(t, 2)
 	var ths []*cfs.Thread
 	for i := 0; i < 5; i++ {
 		ths = append(ths, k.Spawn("mutator#x", 0, func(e *cfs.Env) {
@@ -79,25 +127,102 @@ func TestTraceBusyTimeMatchesCPUTimeUnderContention(t *testing.T) {
 	}
 	for !done() && sim.Step() {
 	}
-	tr.CloseOpen(sim.Now())
-	if err := Validate(tr); err != nil {
-		t.Fatal(err)
-	}
+	segs := rec.Segments()
 	for i, th := range ths {
-		if tr.BusyTime(th) != th.CPUTime {
-			t.Errorf("thread %d: trace busy %v != CPUTime %v", i, tr.BusyTime(th), th.CPUTime)
+		if got := busy(segs, int32(th.ID)); got != th.CPUTime {
+			t.Errorf("thread %d: recorded busy %v != CPUTime %v", i, got, th.CPUTime)
 		}
 	}
 }
 
+// TestRecorderMatchesDispatchSpans: the recorder's segments are exactly
+// the bus's KDispatch spans (in emission order of their dispatch pops),
+// plus the stints still on-CPU when the stream ends, closed at the last
+// bus instant.
+func TestRecorderMatchesDispatchSpans(t *testing.T) {
+	sim := simkit.New(3)
+	defer sim.Close()
+	tr := evtrace.New(1 << 18)
+	sim.SetTracer(tr)
+	k := cfs.NewKernel(sim, &ostopo.Topology{PhysCores: 3, SMTWays: 1, Nodes: 1}, cfs.DefaultParams())
+	k.SetEvTracer(tr)
+	var rec Recorder
+	rec.Attach(tr)
+	for i := 0; i < 6; i++ {
+		k.Spawn("mutator#x", ostopo.CoreID(i%2), func(e *cfs.Env) {
+			for j := 0; j < 20; j++ {
+				e.Compute(simkit.Time(300+j*37) * simkit.Microsecond)
+				e.Sleep(simkit.Time(j%4) * 150 * simkit.Microsecond)
+			}
+		})
+	}
+	hog := k.Spawn("busyloop#0", 2, func(e *cfs.Env) {
+		e.ComputePlan(func() (simkit.Time, bool) { return ms, true })
+	})
+	for sim.Now() < 40*ms && sim.Step() {
+	}
+	if len(tr.Drops()) != 0 {
+		t.Fatalf("ring dropped events: %v", tr.Drops())
+	}
+
+	type stint struct {
+		core, tid  int32
+		start, end simkit.Time
+	}
+	var want []stint
+	var last simkit.Time
+	open := map[int32]int{} // core -> index into want
+	for _, e := range tr.Events() {
+		last = max(last, simkit.Time(e.At+e.Dur))
+		switch {
+		case e.Kind == evtrace.KRunqPop && e.Arg2 == 0:
+			open[e.Core] = len(want)
+			want = append(want, stint{e.Core, e.TID, simkit.Time(e.At), -1})
+		case e.Kind == evtrace.KDispatch:
+			w := &want[open[e.Core]]
+			if w.tid != e.TID || w.start != simkit.Time(e.At) {
+				t.Fatalf("span %+v does not close the stint %+v its core opened", e, *w)
+			}
+			w.end = simkit.Time(e.At + e.Dur)
+			delete(open, e.Core)
+		}
+	}
+	if len(open) == 0 {
+		t.Fatal("no stint open at the end; the open-tail case is untested")
+	}
+	for _, i := range open {
+		want[i].end = last
+	}
+	if last != sim.Now() {
+		t.Errorf("last bus instant %v != final sim time %v", last, sim.Now())
+	}
+
+	got := rec.Segments()
+	if len(got) != len(want) {
+		t.Fatalf("recorder has %d segments, dispatch spans + open tail give %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Core != w.core || g.TID != w.tid || g.Start != w.start || g.End != w.end {
+			t.Fatalf("segment %d = {core %d tid %d %v..%v}, want {core %d tid %d %v..%v}",
+				i, g.Core, g.TID, g.Start, g.End, w.core, w.tid, w.start, w.end)
+		}
+		if g.Name != tr.ThreadName(g.TID) {
+			t.Errorf("segment %d names %q, thread %d is %q", i, g.Name, g.TID, tr.ThreadName(g.TID))
+		}
+	}
+	if busy(got, int32(hog.ID)) == 0 {
+		t.Error("busy loop recorded no run time")
+	}
+}
+
 func TestRenderTimeline(t *testing.T) {
-	sim, k, tr := tracedKernel(t, 3)
+	sim, k, rec := tracedKernel(t, 3)
 	th := k.Spawn("GCTaskThread#0", 1, func(e *cfs.Env) { e.Compute(10 * ms) })
 	for th.State() != cfs.StateDone && sim.Step() {
 	}
-	tr.CloseOpen(sim.Now())
 	var b strings.Builder
-	Render(&b, tr, 3, 0, 10*ms, Options{Width: 20, Legend: true})
+	Render(&b, rec, 3, 0, 10*ms, Options{Width: 20, Legend: true})
 	out := b.String()
 	if !strings.Contains(out, "cpu01 |GGGGGGGGGGGGGGGGGGGG|") {
 		t.Errorf("cpu01 row should be all G:\n%s", out)
@@ -110,43 +235,33 @@ func TestRenderTimeline(t *testing.T) {
 	}
 }
 
+// TestRenderTieBreakIsFixed: a bucket split evenly between two classes is
+// drawn with the class first in the documented precedence, on every
+// render (a map-ordered pick printed either class).
+func TestRenderTieBreakIsFixed(t *testing.T) {
+	rec := forged(
+		Segment{Core: 0, Name: "mutator#0", Start: 5, End: 10},
+		Segment{Core: 0, Name: "GCTaskThread#0", Start: 0, End: 5},
+	)
+	for i := 0; i < 200; i++ {
+		var b strings.Builder
+		Render(&b, rec, 1, 0, 10, Options{Width: 1})
+		if !strings.Contains(b.String(), "cpu00 |G|") {
+			t.Fatalf("render %d: tie between G and M not drawn as G:\n%s", i, b.String())
+		}
+	}
+}
+
 func TestRenderEmptyWindow(t *testing.T) {
 	var b strings.Builder
-	Render(&b, cfs.NewTrace(), 2, 10, 10, Options{})
+	Render(&b, new(Recorder), 2, 10, 10, Options{})
 	if !strings.Contains(b.String(), "empty trace window") {
 		t.Error("empty window not reported")
 	}
 }
 
-func TestCoresActive(t *testing.T) {
-	sim, k, tr := tracedKernel(t, 4)
-	var ths []*cfs.Thread
-	for i := 0; i < 3; i++ {
-		ths = append(ths, k.Spawn("GCTaskThread#x", ostopo.CoreID(i), func(e *cfs.Env) {
-			e.Compute(1 * ms)
-		}))
-	}
-	done := func() bool {
-		for _, th := range ths {
-			if th.State() != cfs.StateDone {
-				return false
-			}
-		}
-		return true
-	}
-	for !done() && sim.Step() {
-	}
-	tr.CloseOpen(sim.Now())
-	if n := CoresActive(tr, 'G', 0, sim.Now()); n != 3 {
-		t.Errorf("CoresActive(G) = %d, want 3", n)
-	}
-	if n := CoresActive(tr, 'M', 0, sim.Now()); n != 0 {
-		t.Errorf("CoresActive(M) = %d, want 0", n)
-	}
-}
-
 func TestWindowFiltering(t *testing.T) {
-	sim, k, tr := tracedKernel(t, 1)
+	sim, k, rec := tracedKernel(t, 1)
 	th := k.Spawn("mutator#0", 0, func(e *cfs.Env) {
 		e.Compute(2 * ms)
 		e.Sleep(2 * ms)
@@ -154,37 +269,103 @@ func TestWindowFiltering(t *testing.T) {
 	})
 	for th.State() != cfs.StateDone && sim.Step() {
 	}
-	tr.CloseOpen(sim.Now())
 	// Only the first compute overlaps [0, 2ms).
-	if n := len(tr.Window(0, 2*ms)); n != 1 {
+	if n := len(rec.Window(0, 2*ms)); n != 1 {
 		t.Errorf("Window(0,2ms) = %d segments, want 1", n)
 	}
 	// The sleep gap [2.1ms, 3.9ms) overlaps nothing.
-	if n := len(tr.Window(2*ms+200_000, 4*ms-200_000)); n != 0 {
+	if n := len(rec.Window(2*ms+200_000, 4*ms-200_000)); n != 0 {
 		t.Errorf("sleep-gap window = %d segments, want 0", n)
 	}
 }
 
-func TestValidateCatchesOverlap(t *testing.T) {
-	tr := cfs.NewTrace()
-	// Forge overlapping segments directly.
-	sim := simkit.New(1)
-	defer sim.Close()
-	topo := &ostopo.Topology{PhysCores: 1, SMTWays: 1, Nodes: 1}
-	k := cfs.NewKernel(sim, topo, cfs.DefaultParams())
-	th := k.Spawn("x", 0, func(e *cfs.Env) {})
-	tr.Segments = []cfs.Segment{
-		{Core: 0, Thread: th, Start: 0, End: 10},
-		{Core: 0, Thread: th, Start: 5, End: 15},
+func TestWindowClipsToBounds(t *testing.T) {
+	rec := forged(
+		Segment{Core: 0, Start: 0, End: 10},  // straddles the left edge
+		Segment{Core: 0, Start: 10, End: 20}, // straddles the right edge
+		Segment{Core: 1, Start: 12, End: 14}, // fully inside
+		Segment{Core: 2, Start: 20, End: 30}, // fully after
+		Segment{Core: 3, Start: 0, End: 8},   // fully before
+		Segment{Core: 4, Start: 15, End: -1}, // still open
+		Segment{Core: 5, Start: 4, End: -1},  // open, starts before the window
+	)
+	got := rec.Window(8, 18)
+	want := []Segment{
+		{Core: 0, Start: 8, End: 10},
+		{Core: 0, Start: 10, End: 18},
+		{Core: 1, Start: 12, End: 14},
+		{Core: 4, Start: 15, End: 18},
+		{Core: 5, Start: 8, End: 18},
 	}
-	if err := Validate(tr); err == nil {
-		t.Error("Validate missed an overlap")
+	if len(got) != len(want) {
+		t.Fatalf("Window returned %d segments, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if got[i].Core != w.Core || got[i].Start != w.Start || got[i].End != w.End {
+			t.Errorf("segment %d = {core %d, %v..%v}, want {core %d, %v..%v}",
+				i, got[i].Core, got[i].Start, got[i].End, w.Core, w.Start, w.End)
+		}
+	}
+	// Clipping must not mutate the recorded segments.
+	if segs := rec.Segments(); segs[0].End != 10 || segs[5].End != 30 {
+		t.Errorf("Window mutated the recording: %+v", segs)
+	}
+}
+
+func TestWindowDegenerate(t *testing.T) {
+	rec := forged(Segment{Core: 0, Start: 0, End: 10})
+	if got := rec.Window(5, 5); got != nil {
+		t.Errorf("zero-length window returned %+v, want nil", got)
+	}
+	if got := rec.Window(7, 3); got != nil {
+		t.Errorf("inverted window returned %+v, want nil", got)
+	}
+	// A zero-length segment clips away entirely.
+	rec = forged(Segment{Core: 0, Start: 4, End: 4})
+	if got := rec.Window(0, 10); got != nil {
+		t.Errorf("zero-length segment survived clipping: %+v", got)
+	}
+	// An open segment starting exactly at the right edge is excluded
+	// ([from, to) is half-open).
+	rec = forged(Segment{Core: 0, Start: 10, End: -1})
+	if got := rec.Window(0, 10); got != nil {
+		t.Errorf("segment at the window edge survived: %+v", got)
+	}
+	// Empty recording.
+	if got := new(Recorder).Window(0, 10); got != nil {
+		t.Errorf("empty recording returned %+v, want nil", got)
+	}
+}
+
+// TestBusyTimeCountsClosedOnce: an open segment ends at the last bus
+// instant, and reading the segments never closes it for good — a later
+// event extends it, and repeated reads do not double-count.
+func TestBusyTimeCountsClosedOnce(t *testing.T) {
+	tr := evtrace.New(1)
+	var rec Recorder
+	rec.Attach(tr)
+	tr.Emit(evtrace.Event{Kind: evtrace.KRunqPop, At: 0, Core: 0, TID: 7})
+	tr.Emit(evtrace.Event{Kind: evtrace.KDispatch, At: 0, Dur: 10, Core: 0, TID: 7})
+	tr.Emit(evtrace.Event{Kind: evtrace.KRunqPop, At: 20, Core: 1, TID: 7})
+	if got := busy(rec.Segments(), 7); got != 10 {
+		t.Errorf("busy with a zero-length open tail = %v, want 10", got)
+	}
+	tr.Emit(evtrace.Event{Kind: evtrace.KEvFire, At: 25, Core: -1, TID: -1})
+	for i := 0; i < 2; i++ {
+		if got := busy(rec.Segments(), 7); got != 15 {
+			t.Errorf("read %d: busy with the tail open to 25 = %v, want 15", i, got)
+		}
+	}
+	tr.Emit(evtrace.Event{Kind: evtrace.KDispatch, At: 20, Dur: 8, Core: 1, TID: 7})
+	tr.Emit(evtrace.Event{Kind: evtrace.KEvFire, At: 100, Core: -1, TID: -1})
+	if got := busy(rec.Segments(), 7); got != 18 {
+		t.Errorf("busy after the tail closed at 28 = %v, want 18 (extended past its close?)", got)
 	}
 }
 
 // TestKernelConservationProperty is a property test over random workloads:
-// (1) trace invariants hold (no overlaps, no bilocation);
-// (2) per-thread trace busy time equals the kernel's CPUTime accounting;
+// (1) scheduler-trace invariants hold (the checker attached by traced);
+// (2) per-thread recorded busy time equals the kernel's CPUTime accounting;
 // (3) total busy time never exceeds cores × wall time (no CPU is conjured);
 // (4) every thread received exactly the CPU it asked for (work conservation
 //
@@ -193,9 +374,7 @@ func TestKernelConservationProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		sim := simkit.New(seed)
 		topo := &ostopo.Topology{PhysCores: 4, SMTWays: 1, Nodes: 2}
-		k := cfs.NewKernel(sim, topo, cfs.DefaultParams())
-		tr := cfs.NewTrace()
-		k.SetTrace(tr)
+		_, k, rec := traced(t, sim, topo)
 		rng := sim.Rand()
 		type spec struct {
 			th   *cfs.Thread
@@ -235,25 +414,22 @@ func TestKernelConservationProperty(t *testing.T) {
 				break
 			}
 		}
-		tr.CloseOpen(sim.Now())
-		if err := Validate(tr); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		segs := rec.Segments()
 		var totalBusy simkit.Time
 		for _, s := range specs {
 			if s.th.State() != cfs.StateDone {
 				t.Fatalf("seed %d: thread not done", seed)
 			}
-			busy := tr.BusyTime(s.th)
-			if busy != s.th.CPUTime {
-				t.Errorf("seed %d: trace busy %v != CPUTime %v", seed, busy, s.th.CPUTime)
+			b := busy(segs, int32(s.th.ID))
+			if b != s.th.CPUTime {
+				t.Errorf("seed %d: recorded busy %v != CPUTime %v", seed, b, s.th.CPUTime)
 			}
 			// CPUTime covers the requested work plus charged context-switch
 			// overhead; it must never be below the requested work.
 			if s.th.CPUTime < s.want {
 				t.Errorf("seed %d: CPUTime %v below requested work %v", seed, s.th.CPUTime, s.want)
 			}
-			totalBusy += busy
+			totalBusy += b
 		}
 		if cap := simkit.Time(topo.NumCPUs()) * sim.Now(); totalBusy > cap {
 			t.Errorf("seed %d: total busy %v exceeds machine capacity %v", seed, totalBusy, cap)
@@ -263,16 +439,15 @@ func TestKernelConservationProperty(t *testing.T) {
 }
 
 func TestRenderDegenerateWidths(t *testing.T) {
-	sim, k, tr := tracedKernel(t, 1)
+	sim, k, rec := tracedKernel(t, 1)
 	th := k.Spawn("GCTaskThread#0", 0, func(e *cfs.Env) { e.Compute(10) })
 	for th.State() != cfs.StateDone && sim.Step() {
 	}
-	tr.CloseOpen(sim.Now())
 
 	// Window shorter than the width: the bucket size clamps to 1 time
 	// unit, so only the first len(window) columns can be non-idle.
 	var b strings.Builder
-	Render(&b, tr, 1, 0, 5, Options{Width: 20})
+	Render(&b, rec, 1, 0, 5, Options{Width: 20})
 	out := b.String()
 	if !strings.Contains(out, "cpu00 |GGGGG") {
 		t.Errorf("sub-width window misrendered:\n%s", out)
@@ -283,17 +458,17 @@ func TestRenderDegenerateWidths(t *testing.T) {
 
 	// Width 1: the whole window is a single bucket.
 	b.Reset()
-	Render(&b, tr, 1, 0, 10, Options{Width: 1})
+	Render(&b, rec, 1, 0, 10, Options{Width: 1})
 	if !strings.Contains(b.String(), "cpu00 |G|") {
 		t.Errorf("width-1 render wrong:\n%s", b.String())
 	}
 }
 
 func TestRenderSingleCoreAndEmptyTrace(t *testing.T) {
-	// A valid window over a trace with no segments renders all-idle rows
-	// rather than reporting an empty window.
+	// A valid window over a recording with no segments renders all-idle
+	// rows rather than reporting an empty window.
 	var b strings.Builder
-	Render(&b, cfs.NewTrace(), 1, 0, 10*ms, Options{Width: 10})
+	Render(&b, new(Recorder), 1, 0, 10*ms, Options{Width: 10})
 	out := b.String()
 	if !strings.Contains(out, "cpu00 |----------|") {
 		t.Errorf("empty trace should render an idle row:\n%s", out)
@@ -307,7 +482,7 @@ func TestRenderSingleCoreAndEmptyTrace(t *testing.T) {
 
 	// Inverted windows are reported, not rendered.
 	b.Reset()
-	Render(&b, cfs.NewTrace(), 1, 10, 0, Options{})
+	Render(&b, new(Recorder), 1, 10, 0, Options{})
 	if !strings.Contains(b.String(), "empty trace window") {
 		t.Error("inverted window not reported")
 	}
