@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: build test race vet fmt-check bench check check-invariants results \
 	bench-smoke bench-guard bench-baseline bench-benchstat bench-compare \
 	trace-smoke bench-json benchjson-smoke serve-smoke postmortem-smoke \
-	fleet-smoke profile-fig10
+	fleet-smoke triage-smoke profile-fig10
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: fmt-check vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke fleet-smoke
+check: fmt-check vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke fleet-smoke triage-smoke
 
 # Correctness harness: race-test the checker package itself, then run a
 # 32-cell smoke slice of the seed-sweep property harness (a prefix of the
@@ -233,6 +233,19 @@ fleet-smoke:
 		-items 150 -skip-bare -out $(FLEET_SMOKE_DIR)/killed.json
 	cmp $(FLEET_SMOKE_DIR)/baseline.json $(FLEET_SMOKE_DIR)/killed.json
 	@rm -rf $(FLEET_SMOKE_DIR); echo "fleet-smoke: reports byte-identical under injected worker kill"
+
+# Failure-triage smoke test: a sweep with an injected failure must exit 1
+# and write the failing cell's window, replayed on retained rings, as
+# Perfetto JSON holding events of every layer (tracecheck fails on a
+# window of track metadata alone).
+TRIAGE_SMOKE_DIR ?= /tmp/simcheck-triage-smoke
+triage-smoke:
+	rm -rf $(TRIAGE_SMOKE_DIR) && mkdir -p $(TRIAGE_SMOKE_DIR)
+	@$(GO) build -o $(TRIAGE_SMOKE_DIR)/simcheck ./cmd/simcheck
+	@$(TRIAGE_SMOKE_DIR)/simcheck -cells 2 -inject-fail -out $(TRIAGE_SMOKE_DIR); rc=$$?; \
+		if [ $$rc -ne 1 ]; then echo "triage-smoke: simcheck -inject-fail exited $$rc, want 1"; exit 1; fi
+	$(GO) run ./cmd/tracecheck $(TRIAGE_SMOKE_DIR)/violation-cell-000.json
+	@rm -rf $(TRIAGE_SMOKE_DIR); echo "triage-smoke: the injected failure's window holds trace events"
 
 # Regenerate the committed full evaluation output (seed 42, all cores);
 # EXPERIMENTS.md explains how to read it.

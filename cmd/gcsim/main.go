@@ -141,13 +141,23 @@ func realMain(argv []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	// Observability hooks: the event tracer feeds both the Perfetto export
-	// and the lock profiler; the registry feeds -metrics and -gcjson.
+	// Observability hooks: the event bus feeds the Perfetto export, the
+	// lock profiler, the checker and the postmortem analyzer; the registry
+	// feeds -metrics and -gcjson. Only the two trace exports read the
+	// rings, so without them the bus keeps no records.
 	wantPostmortem := *postmortemF || *postmortemJSON != "" || *postmortemWin != ""
 	var tracer *evtrace.Tracer
-	if *evtraceOut != "" || *lockprof || *checkF || wantPostmortem {
+	switch {
+	case *evtraceOut != "" || *postmortemWin != "":
 		tracer = evtrace.New(*evtraceCap)
-		spec.EvTracer = tracer
+	case *lockprof || *checkF || wantPostmortem:
+		tracer = evtrace.NewBus()
+	}
+	spec.EvTracer = tracer
+	var profiler *evtrace.LockProfiler
+	if *lockprof {
+		profiler = new(evtrace.LockProfiler)
+		profiler.Attach(tracer)
 	}
 	var checker *check.Checker
 	if *checkF {
@@ -220,8 +230,8 @@ func realMain(argv []string) int {
 			}
 		}
 	}
-	if *lockprof {
-		evtrace.BuildLockProfile(tracer, "GCTaskManager").Render(os.Stdout)
+	if profiler != nil {
+		profiler.Profile("GCTaskManager").Render(os.Stdout)
 	}
 	if *metricsF {
 		fmt.Println("metrics:")
@@ -273,9 +283,9 @@ func renderTimeline(cfg core.Config) error {
 	if err != nil {
 		return err
 	}
-	// The recorder subscribes to the whole stream, so the rings need not
-	// retain anything.
-	spec.EvTracer = evtrace.New(1)
+	// The recorder subscribes to the events it reads, so the bus keeps no
+	// records.
+	spec.EvTracer = evtrace.NewBus()
 	var rec schedtrace.Recorder
 	rec.Attach(spec.EvTracer)
 	r, err := jvm.Run(spec)

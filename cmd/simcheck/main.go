@@ -7,8 +7,9 @@
 //
 // On failure it reports the minimal failing cell — the lowest-index one,
 // which reproduces from the base seed alone — and, when -out is given,
-// writes the pre-violation window of that cell's event bus as Perfetto
-// trace-event JSON for triage in ui.perfetto.dev. All exits route through
+// writes the pre-violation window of that cell's event bus, taken from a
+// replay of the cell on retained rings, as Perfetto trace-event JSON for
+// triage in ui.perfetto.dev. All exits route through
 // cmdutil.Exit so that file is flushed and closed even on the failure
 // path.
 //
@@ -30,7 +31,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/cmdutil"
-	"repro/internal/evtrace"
 	"repro/internal/runner"
 )
 
@@ -60,11 +60,11 @@ func realMain(argv []string, stdout io.Writer) int {
 		return check.RunCell(matrix[i])
 	})
 	if *injectFail && len(results) > 0 {
+		// The injected cell passed, so it was not replayed for triage;
+		// replay it now, as a real failure would have been.
 		results[0].BlameViolations = append(results[0].BlameViolations,
 			"injected failure (-inject-fail)")
-		if results[0].Tracer == nil {
-			results[0].Tracer = evtrace.New(0)
-		}
+		results[0].Triage()
 	}
 
 	var failed []*check.CellResult

@@ -23,7 +23,8 @@ func TestCleanSweepExitsZero(t *testing.T) {
 // TestFailureExitFlushesViolationWindow is the regression test for the
 // exit-path bug: a failing sweep with -out used to reach os.Exit with the
 // window file's buffers unflushed. The injected failure forces the failure
-// path; the written window must be complete, parseable Perfetto JSON.
+// path; the written window must be complete, parseable Perfetto JSON that
+// holds trace events.
 func TestFailureExitFlushesViolationWindow(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
@@ -37,11 +38,24 @@ func TestFailureExitFlushesViolationWindow(t *testing.T) {
 		t.Fatalf("violation window not written: %v", err)
 	}
 	var win struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+		TraceEvents []struct {
+			Ph string `json:"ph"`
+		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(b, &win); err != nil {
 		t.Fatalf("violation window is not complete JSON (unflushed exit?): %v\n%d bytes: %.200s",
 			err, len(b), b)
+	}
+	// The window comes from the triage replay of the injected cell: it
+	// holds the cell's events, not only track metadata.
+	events := 0
+	for _, e := range win.TraceEvents {
+		if e.Ph != "M" {
+			events++
+		}
+	}
+	if events == 0 {
+		t.Fatalf("violation window holds no trace events (%d metadata records only)", len(win.TraceEvents))
 	}
 	if !strings.Contains(buf.String(), "injected failure") {
 		t.Fatalf("failure summary missing injected violation:\n%s", buf.String())

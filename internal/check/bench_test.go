@@ -3,9 +3,10 @@ package check
 import "testing"
 
 // BenchmarkCheckedCell times the checked path a sweep cell takes —
-// RunCellOpts with the invariant checker, VerifyHeap, the postmortem
-// analyzer, retained event rings and the bare replay — over the first 16
-// cells of the seed-42 space in order, and reports cells/s. Run it at a
+// RunCellOpts with the invariant checker, VerifyHeap and the postmortem
+// analyzer on a bus that keeps no records, then the bare replay — over the
+// first 16 cells of the seed-42 space in order, and reports cells/s. The
+// cells pass, so none pays for a triage replay. Run it at a
 // multiple of 16 iterations (`-benchtime 64x`) so every run does the same
 // work.
 func BenchmarkCheckedCell(b *testing.B) {

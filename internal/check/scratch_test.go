@@ -88,7 +88,7 @@ func TestPooledScratchMatchesCold(t *testing.T) {
 
 	pool := &stackPool{}
 	for _, i := range idx {
-		check(runPooled(pool, CellAt(42, i), RunOptions{}, evtrace.New(0)))
+		check(runPooled(pool, CellAt(42, i), RunOptions{}, evtrace.NewBus()))
 	}
 	if pool.news != 1 {
 		t.Fatalf("serial pass built %d scratches, want 1 reused throughout", pool.news)
@@ -107,7 +107,7 @@ func TestPooledScratchMatchesCold(t *testing.T) {
 				if g == 1 {
 					i = idx[len(idx)-1-k]
 				}
-				results[g] = append(results[g], runPooled(pool, CellAt(42, i), RunOptions{}, evtrace.New(0)))
+				results[g] = append(results[g], runPooled(pool, CellAt(42, i), RunOptions{}, evtrace.NewBus()))
 			}
 		}()
 	}
@@ -130,7 +130,7 @@ func TestPooledScratchMatchesCold(t *testing.T) {
 func TestPanickedScratchNotPooled(t *testing.T) {
 	cell := CellAt(42, 0)
 	pool := &stackPool{}
-	tr := evtrace.New(0)
+	tr := evtrace.NewBus()
 	tr.Subscribe(func(e evtrace.Event) {
 		if e.Kind == evtrace.KGCSpan {
 			panic("injected")
@@ -147,10 +147,18 @@ func TestPanickedScratchNotPooled(t *testing.T) {
 	if pool.puts != 0 {
 		t.Fatalf("panicked run returned its scratch to the pool (%d puts)", pool.puts)
 	}
+	// The failed cell was replayed for triage, on rings, without the
+	// panicking subscriber.
+	if r.Tracer == nil || r.Tracer.Len() == 0 || r.Drops != 0 {
+		t.Fatalf("failed cell has no complete triage replay (tracer %v, drops %d)", r.Tracer != nil, r.Drops)
+	}
 
-	r = runPooled(pool, cell, RunOptions{}, evtrace.New(0))
+	r = runPooled(pool, cell, RunOptions{}, evtrace.NewBus())
 	if r.Failed() {
 		t.Fatalf("%s", r.Summary())
+	}
+	if r.Tracer != nil {
+		t.Error("a cell that passed was replayed for triage")
 	}
 	if pool.puts != 1 || pool.news != 2 {
 		t.Errorf("clean run: %d puts from %d scratches, want 1 put of a fresh scratch", pool.puts, pool.news)

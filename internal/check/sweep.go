@@ -128,11 +128,10 @@ type CellResult struct {
 	BareDigest string // same digest from the uninstrumented replay
 	Err        error  // simulation-level failure (OOM, deadlock, panic)
 
-	// Drops counts events the checked run's ring sinks discarded. The
-	// checker and postmortem analyzer subscribe (they always see the whole
-	// stream), but a nonzero count means the retained ring — the triage
-	// window WriteViolationWindow exports — is incomplete, so the sweep
-	// treats it as a failure: cells are sized to fit the default ring.
+	// Drops counts events the triage replay's ring sinks discarded (see
+	// Triage); it is zero for a cell that passed, which is never replayed.
+	// A nonzero count means the window WriteViolationWindow exports from
+	// Tracer is incomplete, and the summary says so.
 	Drops uint64
 
 	// BlameViolations lists collections whose postmortem blame buckets do
@@ -145,9 +144,12 @@ type CellResult struct {
 	// fleet report can merge pathology counts across the whole sweep.
 	Pathology string
 
-	// Tracer retains the checked run's event bus when the cell failed, so
-	// the caller can export a pre-violation window for Perfetto triage.
+	// Tracer holds the triage replay of a failed cell (see Triage), for
+	// exporting a pre-violation window for Perfetto triage; nil for a cell
+	// that passed.
 	Tracer *evtrace.Tracer
+
+	items int // the workload size the cell ran at (RunOptions.Items)
 }
 
 // Failed reports whether the cell found a problem of any sort.
@@ -170,7 +172,7 @@ func (r *CellResult) Summary() string {
 			short(r.Digest), short(r.BareDigest))
 	}
 	if r.Drops > 0 {
-		s += fmt.Sprintf("\n  evtrace: %d events dropped from the ring sinks (triage window incomplete)", r.Drops)
+		s += fmt.Sprintf("\n  evtrace: %d events dropped from the triage replay's ring sinks (window incomplete)", r.Drops)
 	}
 	for _, v := range r.BlameViolations {
 		s += "\n  postmortem: " + v
@@ -234,7 +236,7 @@ func RunCell(cell Cell) *CellResult {
 
 // RunCellOpts is RunCell with explicit RunOptions.
 func RunCellOpts(cell Cell, o RunOptions) *CellResult {
-	return runPooled(&cellScratch, cell, o, evtrace.New(0))
+	return runPooled(&cellScratch, cell, o, evtrace.NewBus())
 }
 
 // cellScratch recycles machine storage (jvm.Scratch) across the cells a
@@ -252,16 +254,24 @@ type scratchPool interface {
 // runPooled runs the cell's checked run on tr and its bare replay, both on
 // one scratch from pool. The scratch goes back to the pool only when
 // neither run panicked: a panic can leave the machine's storage mid-update.
-func runPooled(pool scratchPool, cell Cell, o RunOptions, tr *evtrace.Tracer) (res *CellResult) {
+// A cell that failed is then replayed for triage (Triage).
+func runPooled(pool scratchPool, cell Cell, o RunOptions, tr *evtrace.Tracer) *CellResult {
 	sc := pool.Get().(*jvm.Scratch)
-	defer func() {
-		var pe *panicError
-		if !errors.As(res.Err, &pe) {
-			pool.Put(sc)
-		}
-	}()
-	res = &CellResult{Cell: cell}
+	res := runChecked(cell, o, tr, sc)
+	var pe *panicError
+	if !errors.As(res.Err, &pe) {
+		pool.Put(sc)
+	}
+	if res.Failed() {
+		res.Triage()
+	}
+	return res
+}
 
+// runChecked runs the cell's checked run on tr, with the checker and the
+// postmortem analyzer subscribed, then its bare replay, on scratch sc.
+func runChecked(cell Cell, o RunOptions, tr *evtrace.Tracer, sc *jvm.Scratch) *CellResult {
+	res := &CellResult{Cell: cell, items: o.Items}
 	ck := New()
 	ck.Attach(tr)
 	an := postmortem.New()
@@ -269,7 +279,6 @@ func runPooled(pool scratchPool, cell Cell, o RunOptions, tr *evtrace.Tracer) (r
 	checked, err := runCellOnce(cell, o.Items, tr, sc)
 	if err != nil {
 		res.Err = err
-		res.Tracer = tr
 		return res
 	}
 	ck.Finish()
@@ -280,29 +289,45 @@ func runPooled(pool scratchPool, cell Cell, o RunOptions, tr *evtrace.Tracer) (r
 	ex := an.Export()
 	res.BlameViolations = ex.Verify()
 	res.Pathology = ex.Pathology
-	for _, d := range tr.Drops() {
-		res.Drops += d
-	}
 	res.Digest = digestResults(checked)
 
 	if o.SkipBare {
 		res.BareDigest = res.Digest
-		if res.Failed() {
-			res.Tracer = tr
-		}
 		return res
 	}
 	bare, err := runCellOnce(cell, o.Items, nil, sc)
 	if err != nil {
 		res.Err = fmt.Errorf("bare replay: %w", err)
-		res.Tracer = tr
 		return res
 	}
 	res.BareDigest = digestResults(bare)
-	if res.Failed() {
-		res.Tracer = tr
-	}
 	return res
+}
+
+// Triage replays the cell once more for its triage window: cold, on
+// evtrace.New(0) rings with a checker attached, under the same panic
+// recovery. It sets Tracer and Drops from the replay. The checked run
+// keeps no records, and it needs none: Seq does not depend on retention,
+// and the checked-vs-bare digest differential shows that a same-seed
+// replay is the same run, so the replay's rings hold exactly the window
+// the checked run would have retained. RunCellOpts triages every cell that
+// failed; callers that fail a cell on grounds of their own call it too.
+func (r *CellResult) Triage() {
+	tr := evtrace.New(0)
+	New().Attach(tr)
+	// A run error repeats the checked run's, which r already reports; the
+	// rings hold the events up to it.
+	_, _ = Simulate(r.Cell, r.items, tr)
+	r.Tracer, r.Drops = tr, 0
+	for _, d := range tr.Drops() {
+		r.Drops += d
+	}
+}
+
+// Simulate runs the cell once, cold, with the checked run's configuration
+// and on tr (nil runs it bare), and no checker. Panics surface as errors.
+func Simulate(cell Cell, items int, tr *evtrace.Tracer) ([]*jvm.Result, error) {
+	return runCellOnce(cell, items, tr, nil)
 }
 
 // panicError is a run that panicked (e.g. a tripped VerifyHeap assertion).

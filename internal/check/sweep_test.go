@@ -152,3 +152,46 @@ func TestWriteViolationWindow(t *testing.T) {
 		t.Errorf("window holds %d instants, want 11 (10 context + violation)", instants)
 	}
 }
+
+// TestReplayWindowMatchesRetainedRun: the triage replay of a cell exports
+// byte-identically the window a checked run on retained rings would have,
+// both for a violation in mid-run and for a Finish-time one (Seq 0, which
+// exports the whole run).
+func TestReplayWindowMatchesRetainedRun(t *testing.T) {
+	cell := CellAt(42, 0)
+	retained := evtrace.New(0)
+	ck := New()
+	ck.Attach(retained)
+	if _, err := runCellOnce(cell, 0, retained, nil); err != nil {
+		t.Fatal(err)
+	}
+	ck.Finish()
+	if ck.Total() != 0 || len(retained.Drops()) != 0 {
+		t.Fatalf("retained run: %d violations, drops %v; want a clean, complete run", ck.Total(), retained.Drops())
+	}
+
+	res := &CellResult{Cell: cell}
+	res.Triage()
+	if res.Drops != 0 {
+		t.Fatalf("triage replay dropped %d events", res.Drops)
+	}
+	if got, want := res.Tracer.Len(), retained.Len(); got != want {
+		t.Fatalf("replay retained %d events, checked run %d", got, want)
+	}
+	for _, v := range []Violation{
+		{Inv: "synthetic", Seq: uint64(retained.Len()) / 2},
+		{Inv: "synthetic-finish"},
+	} {
+		var want, got bytes.Buffer
+		if err := WriteViolationWindow(&want, retained, v, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteViolationWindow(&got, res.Tracer, v, 0); err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() < 1000 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("seq %d: replay window (%d bytes) differs from the retained run's (%d bytes)",
+				v.Seq, got.Len(), want.Len())
+		}
+	}
+}

@@ -46,3 +46,12 @@ func BenchmarkEmitEnabled(b *testing.B) {
 		tr.Emit(Event{Kind: KDispatch, At: int64(i), Core: 0, TID: 1, Name: "t"})
 	}
 }
+
+func BenchmarkEmitBus(b *testing.B) {
+	tr := NewBus()
+	tr.SubscribeKinds(func(Event) {}, KLockFast)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Emit(Event{Kind: KDispatch, At: int64(i), Core: 0, TID: 1, Name: "t"})
+	}
+}

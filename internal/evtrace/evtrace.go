@@ -13,14 +13,24 @@
 // every method is a no-op — and instrumented hot paths guard their single
 // Emit call behind a nil check, so disabled tracing costs one predictable
 // branch and zero allocations (asserted by alloc tests here and by the
-// simkit kernel's zero-alloc tests). Enabled tracing appends into
-// per-layer ring buffers that grow on demand: a layer's storage starts as a
-// small block on its first event and doubles as it fills, up to the
-// tracer's per-sink cap, so a short run pays only for the events it emits.
-// Once a sink reaches its cap it allocates nothing more and overwrites its
-// oldest records. Tracing never touches the simulation's RNG or event
-// queue, so enabling it cannot perturb simulated behaviour: golden outputs
-// are byte-identical with tracing on and off.
+// simkit kernel's zero-alloc tests). An enabled tracer is a bus: Emit
+// assigns the event's Seq and calls the subscribers of its kind, and
+// nothing else, so a subscriber that declares only the kinds it reads
+// (SubscribeKinds) costs nothing on the others. A tracer made by NewBus
+// stops there: it keeps no records, so Emit allocates nothing and leaves
+// nothing for the Go collector to scan. This is the mode for runs whose
+// consumers all subscribe — the invariant checker, the postmortem
+// analyzer, the scheduling timeline and the lock profiler. A tracer made
+// by New also appends every event to per-layer ring buffers, for the
+// Perfetto export and triage windows. A ring grows on demand: a layer's
+// storage starts as a small block on its first event and doubles as it
+// fills, up to the tracer's per-sink cap, so a short run pays only for the
+// events it emits. Once a sink reaches its cap it allocates nothing more
+// and overwrites its oldest records. Seq does not depend on retention, so
+// a same-seed replay on rings numbers every event exactly as a bus-only
+// run did. Tracing never touches the simulation's RNG or event queue, so
+// enabling it cannot perturb simulated behaviour: golden outputs are
+// byte-identical with tracing on and off.
 //
 // This package intentionally imports nothing from the rest of the
 // repository (timestamps are raw int64 nanoseconds, not simkit.Time) so
@@ -225,8 +235,9 @@ func (k Kind) Name() string { return kindMeta[k].name }
 // Span reports whether events of this kind carry a duration.
 func (k Kind) Span() bool { return kindMeta[k].span }
 
-// Event is one pooled trace record. Events are small values copied into a
-// ring buffer; emitting one allocates only when its layer's ring grows.
+// Event is one trace record. Events are small values passed to subscribers
+// and, on a tracer with rings, copied into its layer's ring; emitting one
+// allocates only when that ring grows.
 // At/Dur are virtual nanoseconds (At is the span start for span kinds).
 // Core and TID are -1 when not applicable; Name must be a preexisting
 // string (a thread or lock name, or a static kind name) — hot paths must
@@ -247,7 +258,7 @@ type Event struct {
 // to the layer as a block of min(cap, sinkBlock) records and doubles each
 // time it fills, never past cap. Only a sink holding cap records is a ring:
 // from then on each emit overwrites the oldest record (the tail of a run is
-// what the Perfetto UI and the lock profiler want) and counts a drop.
+// what the Perfetto UI wants) and counts a drop.
 type sink struct {
 	buf   []Event
 	next  int
@@ -303,16 +314,19 @@ func (s *sink) len() int {
 // DefaultSinkCap is the per-layer ring capacity used by New(0).
 const DefaultSinkCap = 1 << 16
 
-// Tracer is the event bus: one ring-buffer sink per layer plus a thread
-// name registry. A nil *Tracer is valid and means "tracing disabled" —
-// all methods are no-ops. A Tracer is not safe for concurrent use; like
-// the simulator it serves, it is single-threaded by design (each
-// simulation cell owns its own Tracer).
+// Tracer is the event bus: per-kind subscriber lists, a thread name
+// registry and, unless it was made by NewBus, one ring-buffer sink per
+// layer. A nil *Tracer is valid and means "tracing disabled" — all methods
+// are no-ops. A Tracer is not safe for concurrent use; like the simulator
+// it serves, it is single-threaded by design (each simulation cell owns
+// its own Tracer).
 type Tracer struct {
-	sinks [numLayers]sink
-	seq   uint64
-	names map[int32]string
-	subs  []func(Event)
+	sinks  [numLayers]sink
+	rings  bool // false for a NewBus tracer: Emit only dispatches
+	seq    uint64
+	last   int64 // latest At+Dur emitted
+	names  map[int32]string
+	byKind [numKinds][]func(Event)
 }
 
 // New creates a tracer whose per-layer rings hold capPerSink records each
@@ -322,11 +336,19 @@ func New(capPerSink int) *Tracer {
 	if capPerSink <= 0 {
 		capPerSink = DefaultSinkCap
 	}
-	t := &Tracer{names: make(map[int32]string)}
+	t := NewBus()
+	t.rings = true
 	for i := range t.sinks {
 		t.sinks[i].cap = capPerSink
 	}
 	return t
+}
+
+// NewBus creates a tracer that keeps no records: Emit assigns Seq and
+// calls the subscribers, and Len, Events, LayerEvents and Drops are
+// empty. Use it when every consumer of a run subscribes.
+func NewBus() *Tracer {
+	return &Tracer{names: make(map[int32]string)}
 }
 
 // Enabled reports whether the tracer records events (false for nil).
@@ -340,23 +362,59 @@ func (t *Tracer) Emit(e Event) {
 	}
 	t.seq++
 	e.Seq = t.seq
-	t.sinks[kindMeta[e.Kind].layer].put(e)
-	for _, fn := range t.subs {
+	t.last = max(t.last, e.At+e.Dur)
+	if t.rings {
+		t.sinks[kindMeta[e.Kind].layer].put(e)
+	}
+	for _, fn := range t.byKind[e.Kind] {
 		fn(e)
 	}
 }
 
-// Subscribe registers fn to receive every event at emission time, after
-// Seq assignment and ring insertion. Unlike the ring sinks, subscribers
-// see the complete stream even when old records are overwritten — this is
-// what online consumers (the internal/check invariant checker) rely on.
-// Subscribers must not emit; like the Tracer itself they are
-// single-threaded. Safe on a nil tracer (no-op).
+// Subscribe registers fn to receive every event at emission time; it is
+// SubscribeKinds with every kind.
 func (t *Tracer) Subscribe(fn func(Event)) {
+	t.SubscribeKinds(fn, allKinds[:]...)
+}
+
+// allKinds lists every kind, for Subscribe.
+var allKinds = func() (ks [numKinds]Kind) {
+	for i := range ks {
+		ks[i] = Kind(i)
+	}
+	return ks
+}()
+
+// SubscribeKinds registers fn to receive the events of the given kinds at
+// emission time, after Seq assignment and ring insertion; a kind listed
+// twice is delivered once. The subscribers of one kind are called in
+// subscription order, whether they subscribed to it alone or through
+// Subscribe. Unlike the ring sinks, subscribers see the complete stream
+// even when old records are overwritten — this is what online consumers
+// (the internal/check invariant checker) rely on. Subscribers must not
+// emit; like the Tracer itself they are single-threaded. Safe on a nil
+// tracer (no-op).
+func (t *Tracer) SubscribeKinds(fn func(Event), kinds ...Kind) {
 	if t == nil || fn == nil {
 		return
 	}
-	t.subs = append(t.subs, fn)
+	var seen [numKinds]bool
+	for _, k := range kinds {
+		if !seen[k] {
+			seen[k] = true
+			t.byKind[k] = append(t.byKind[k], fn)
+		}
+	}
+}
+
+// Last returns the latest instant any event emitted so far covers: the
+// largest At+Dur. Subscribers that read only some kinds use it for the
+// end of the stream. 0 on a nil tracer.
+func (t *Tracer) Last() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.last
 }
 
 // RegisterThread associates a simulated thread id with its name, for the

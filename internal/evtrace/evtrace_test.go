@@ -169,7 +169,9 @@ func TestWritePerfettoDeterministic(t *testing.T) {
 }
 
 func TestLockProfile(t *testing.T) {
-	tr := New(64)
+	tr := NewBus()
+	var lp LockProfiler
+	lp.Attach(tr)
 	tr.RegisterThread(1, "GCTaskThread#0")
 	tr.RegisterThread(2, "GCTaskThread#1")
 	// Owner 1 acquires 3x in a row (2 reacquires), then 2 takes over after
@@ -185,7 +187,7 @@ func TestLockProfile(t *testing.T) {
 	// A different lock must be filtered out.
 	tr.Emit(Event{Kind: KLockFast, At: 8, TID: 2, Name: "other"})
 
-	p := BuildLockProfile(tr, "m")
+	p := lp.Profile("m")
 	if p.Acquires != 5 || p.FastAcquires != 4 || p.Handoffs != 1 {
 		t.Errorf("acquires=%d fast=%d handoff=%d, want 5/4/1", p.Acquires, p.FastAcquires, p.Handoffs)
 	}
@@ -223,7 +225,9 @@ func TestLockProfile(t *testing.T) {
 // transitions must be tracked per monitor — a single global cursor would
 // fabricate cross-machine transitions no thread ever performed.
 func TestLockProfileMergedMultiMonitor(t *testing.T) {
-	tr := New(64)
+	tr := NewBus()
+	var lp LockProfiler
+	lp.Attach(tr)
 	tr.RegisterThread(1, "GCTaskThread#0")
 	tr.RegisterThread(2, "GCTaskThread#1")
 	// Monitor A: tid 1 acquires three times in a row; monitor B's stream
@@ -234,7 +238,7 @@ func TestLockProfileMergedMultiMonitor(t *testing.T) {
 	tr.Emit(Event{Kind: KLockFast, At: 4, TID: 2, Name: "GCTaskManager#1", Arg2: 1})
 	tr.Emit(Event{Kind: KLockFast, At: 5, TID: 1, Name: "GCTaskManager", Arg2: 1})
 
-	p := BuildLockProfile(tr, "")
+	p := lp.Profile("")
 	if p.Acquires != 5 {
 		t.Fatalf("acquires = %d, want 5", p.Acquires)
 	}
@@ -260,9 +264,9 @@ func TestLockProfileMergedMultiMonitor(t *testing.T) {
 	}
 
 	// The per-monitor view splits the same stream into two profiles.
-	profiles := BuildLockProfiles(tr)
+	profiles := lp.Profiles()
 	if len(profiles) != 2 {
-		t.Fatalf("BuildLockProfiles returned %d profiles, want 2", len(profiles))
+		t.Fatalf("Profiles returned %d profiles, want 2", len(profiles))
 	}
 	if profiles[0].Lock != "GCTaskManager" || profiles[1].Lock != "GCTaskManager#1" {
 		t.Errorf("profile names %q/%q, want sorted monitor names",
@@ -275,9 +279,14 @@ func TestLockProfileMergedMultiMonitor(t *testing.T) {
 }
 
 func TestLockProfileEmpty(t *testing.T) {
-	p := BuildLockProfile(nil, "m")
+	var lp LockProfiler
+	lp.Attach(nil)
+	p := lp.Profile("m")
 	if p.Acquires != 0 || p.PrevOwnerWinRate() != 0 {
-		t.Error("nil-tracer profile not empty")
+		t.Error("profile of an unattached profiler not empty")
+	}
+	if lp.Profiles() != nil {
+		t.Error("unattached profiler lists monitors")
 	}
 	var b bytes.Buffer
 	p.Render(&b)

@@ -37,9 +37,6 @@ type LockProfile struct {
 	RunLengths map[int]int
 	// MaxRun is the longest observed consecutive-acquisition run.
 	MaxRun int
-	// Dropped is how many jmutex records the ring overwrote before the
-	// profile's window; the profile covers the retained tail only.
-	Dropped uint64
 }
 
 // ThreadRef names one contender.
@@ -48,123 +45,181 @@ type ThreadRef struct {
 	Name string
 }
 
-// BuildLockProfile folds the tracer's retained jmutex events for the named
-// lock ("" = all locks merged) into a LockProfile. Returns an empty
-// profile when tracing was disabled.
-func BuildLockProfile(t *Tracer, lock string) *LockProfile {
-	p := &LockProfile{Lock: lock, RunLengths: make(map[int]int)}
-	if t == nil {
-		return p
-	}
-	p.Dropped = t.Drops()[LayerJmutex]
-	index := map[int32]int{}
-	idxOf := func(tid int32) int {
-		if i, ok := index[tid]; ok {
-			return i
-		}
-		i := len(p.Threads)
-		index[tid] = i
-		name := t.ThreadName(tid)
-		if name == "" {
-			name = fmt.Sprintf("tid%d", tid)
-		}
-		p.Threads = append(p.Threads, ThreadRef{TID: tid, Name: name})
-		for r := range p.Transitions {
-			p.Transitions[r] = append(p.Transitions[r], 0)
-		}
-		p.Transitions = append(p.Transitions, make([]int, i+1))
-		return i
-	}
-
-	// Ownership state is tracked per monitor name even when profiles are
-	// merged (lock == ""): in a multi-JVM run each machine has its own
-	// "GCTaskManager#N" monitor, and folding their interleaved acquisition
-	// streams through one prev/run cursor fabricated cross-machine
-	// "transitions" that no thread ever performed.
-	type lockState struct {
-		prev int
-		run  int
-	}
-	states := map[string]*lockState{}
-	stateOf := func(name string) *lockState {
-		s := states[name]
-		if s == nil {
-			s = &lockState{prev: -1}
-			states[name] = s
-		}
-		return s
-	}
-	endRun := func(s *lockState) {
-		if s.run > 0 {
-			p.RunLengths[s.run]++
-			if s.run > p.MaxRun {
-				p.MaxRun = s.run
-			}
-		}
-		s.run = 0
-	}
-	for _, e := range t.LayerEvents(LayerJmutex) {
-		if lock != "" && e.Name != lock {
-			continue
-		}
-		switch e.Kind {
-		case KLockFast, KLockHandoff:
-			s := stateOf(e.Name)
-			cur := idxOf(e.TID)
-			p.Acquires++
-			if e.Kind == KLockFast {
-				p.FastAcquires++
-			} else {
-				p.Handoffs++
-			}
-			if s.prev >= 0 {
-				p.Transitions[s.prev][cur]++
-				if s.prev == cur {
-					p.PrevOwnerWins++
-				}
-			}
-			if cur == s.prev {
-				s.run++
-			} else {
-				endRun(s)
-				s.run = 1
-			}
-			s.prev = cur
-		case KLockBypass:
-			p.Bypasses++
-		case KLockBlock:
-			p.Blocks++
-		}
-	}
-	for _, s := range states {
-		endRun(s)
-	}
-	return p
+// LockProfiler folds the jmutex event stream into LockProfiles as it is
+// emitted. It subscribes to the jmutex kinds it reads, so it sees every
+// acquisition of the run, however little the tracer's rings retain. The
+// zero value is ready to Attach.
+type LockProfiler struct {
+	tr     *Tracer
+	all    lockFold             // every monitor merged
+	byLock map[string]*lockFold // one fold per monitor name
 }
 
-// BuildLockProfiles folds the tracer's retained jmutex events into one
-// profile per distinct monitor name, sorted by name — the per-machine
-// view for multi-JVM runs, where every instance has its own
-// "GCTaskManager#N" monitor. Returns nil when tracing was disabled or no
-// jmutex events were retained.
-func BuildLockProfiles(t *Tracer) []*LockProfile {
-	if t == nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	names := []string{}
-	for _, e := range t.LayerEvents(LayerJmutex) {
-		if !seen[e.Name] {
-			seen[e.Name] = true
-			names = append(names, e.Name)
+// lockProfilerKinds are the jmutex kinds a LockProfiler reads.
+var lockProfilerKinds = []Kind{KLockFast, KLockHandoff, KLockBypass, KLockBlock}
+
+// Attach subscribes lp to t's jmutex events and remembers the tracer for
+// thread names. Attach before the run so the profiles cover it whole.
+func (lp *LockProfiler) Attach(t *Tracer) {
+	lp.tr = t
+	t.SubscribeKinds(lp.observe, lockProfilerKinds...)
+}
+
+func (lp *LockProfiler) observe(e Event) {
+	f := lp.byLock[e.Name]
+	if f == nil {
+		if lp.byLock == nil {
+			lp.byLock = make(map[string]*lockFold)
 		}
+		f = &lockFold{}
+		lp.byLock[e.Name] = f
+	}
+	lp.all.add(e)
+	f.add(e)
+}
+
+// Profile returns the profile of the named lock ("" = all locks merged)
+// over the events folded so far.
+func (lp *LockProfiler) Profile(lock string) *LockProfile {
+	f := &lp.all
+	if lock != "" {
+		if f = lp.byLock[lock]; f == nil {
+			f = &lockFold{}
+		}
+	}
+	return f.profile(lock, lp.tr)
+}
+
+// Profiles returns one profile per distinct monitor name, sorted by name
+// — the per-machine view for multi-JVM runs, where every instance has its
+// own "GCTaskManager#N" monitor. Returns nil when no jmutex event was
+// folded.
+func (lp *LockProfiler) Profiles() []*LockProfile {
+	names := make([]string, 0, len(lp.byLock))
+	for name := range lp.byLock {
+		names = append(names, name)
+	}
+	if len(names) == 0 {
+		return nil
 	}
 	sort.Strings(names)
 	out := make([]*LockProfile, len(names))
 	for i, name := range names {
-		out[i] = BuildLockProfile(t, name)
+		out[i] = lp.Profile(name)
 	}
 	return out
+}
+
+// lockFold is the running state behind one LockProfile. Ownership cursors
+// are kept per monitor name even when monitors are merged: in a multi-JVM
+// run each machine has its own "GCTaskManager#N" monitor, and folding
+// their interleaved acquisition streams through one prev/run cursor would
+// fabricate cross-machine "transitions" that no thread ever performed.
+type lockFold struct {
+	p       LockProfile
+	index   map[int32]int
+	cursors map[string]*lockCursor
+}
+
+// lockCursor tracks one monitor's previous owner (index into Threads, -1
+// before the first acquisition) and that owner's current run length.
+type lockCursor struct {
+	prev int
+	run  int
+}
+
+func (f *lockFold) add(e Event) {
+	switch e.Kind {
+	case KLockBypass:
+		f.p.Bypasses++
+		return
+	case KLockBlock:
+		f.p.Blocks++
+		return
+	}
+	p := &f.p
+	c := f.cursors[e.Name]
+	if c == nil {
+		if f.cursors == nil {
+			f.cursors = make(map[string]*lockCursor)
+			p.RunLengths = make(map[int]int)
+		}
+		c = &lockCursor{prev: -1}
+		f.cursors[e.Name] = c
+	}
+	cur := f.threadIndex(e.TID)
+	p.Acquires++
+	if e.Kind == KLockFast {
+		p.FastAcquires++
+	} else {
+		p.Handoffs++
+	}
+	if c.prev >= 0 {
+		p.Transitions[c.prev][cur]++
+	}
+	if cur == c.prev {
+		p.PrevOwnerWins++
+		c.run++
+	} else {
+		endRun(p, c.run)
+		c.run = 1
+	}
+	c.prev = cur
+}
+
+// threadIndex returns tid's row in the transition matrix, adding a row
+// and a column on its first acquisition.
+func (f *lockFold) threadIndex(tid int32) int {
+	if i, ok := f.index[tid]; ok {
+		return i
+	}
+	if f.index == nil {
+		f.index = make(map[int32]int)
+	}
+	p := &f.p
+	i := len(p.Threads)
+	f.index[tid] = i
+	p.Threads = append(p.Threads, ThreadRef{TID: tid})
+	for r := range p.Transitions {
+		p.Transitions[r] = append(p.Transitions[r], 0)
+	}
+	p.Transitions = append(p.Transitions, make([]int, i+1))
+	return i
+}
+
+// endRun records a finished consecutive-acquisition run of length n.
+func endRun(p *LockProfile, n int) {
+	if n > 0 {
+		p.RunLengths[n]++
+		p.MaxRun = max(p.MaxRun, n)
+	}
+}
+
+// profile snapshots the fold as a LockProfile named lock: open runs are
+// closed in the copy, not in the fold, and thread names are resolved
+// through t now that every thread has registered.
+func (f *lockFold) profile(lock string, t *Tracer) *LockProfile {
+	p := f.p
+	p.Lock = lock
+	p.RunLengths = make(map[int]int, len(f.p.RunLengths))
+	for n, c := range f.p.RunLengths {
+		p.RunLengths[n] = c
+	}
+	for _, c := range f.cursors {
+		endRun(&p, c.run)
+	}
+	p.Threads = make([]ThreadRef, len(f.p.Threads))
+	for i, th := range f.p.Threads {
+		if th.Name = t.ThreadName(th.TID); th.Name == "" {
+			th.Name = fmt.Sprintf("tid%d", th.TID)
+		}
+		p.Threads[i] = th
+	}
+	p.Transitions = make([][]int, len(f.p.Transitions))
+	for i, row := range f.p.Transitions {
+		p.Transitions[i] = append([]int(nil), row...)
+	}
+	return &p
 }
 
 // Acquisition is one entry of a monitor's acquisition log (§3.2's
@@ -180,7 +235,8 @@ type Acquisition struct {
 // AcquisitionLog is a bus subscriber that logs every Lock acquisition of
 // the monitor named Lock: KLockFast, and KLockHandoff with Arg2 == 0
 // (Arg2 == 1 marks a Wait re-acquisition, which is not a Lock call). Being
-// a subscriber it is complete even when the rings drop records.
+// a subscriber it is complete even when the rings drop records; it
+// subscribes to those two kinds and KLockRelease only.
 type AcquisitionLog struct {
 	Lock    string
 	Entries []Acquisition
@@ -194,7 +250,7 @@ type AcquisitionLog struct {
 // stream.
 func (l *AcquisitionLog) Attach(t *Tracer) {
 	l.tr, l.released = t, -1
-	t.Subscribe(l.observe)
+	t.SubscribeKinds(l.observe, KLockRelease, KLockFast, KLockHandoff)
 }
 
 func (l *AcquisitionLog) observe(e Event) {
@@ -229,11 +285,8 @@ func (p *LockProfile) Render(w io.Writer) {
 		name = "(all locks)"
 	}
 	fmt.Fprintf(w, "lock-contention profile: %s\n", name)
-	if p.Dropped > 0 {
-		fmt.Fprintf(w, "  (ring overwrote %d older records; profile covers the retained tail)\n", p.Dropped)
-	}
 	if p.Acquires == 0 {
-		fmt.Fprintln(w, "  no acquisitions recorded (was tracing enabled?)")
+		fmt.Fprintln(w, "  no acquisitions recorded (was the profiler attached before the run?)")
 		return
 	}
 	fmt.Fprintf(w, "  acquisitions: %d (fast %d, handoff %d, bypasses %d, parks %d)\n",

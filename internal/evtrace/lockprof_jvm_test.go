@@ -1,8 +1,11 @@
 package evtrace_test
 
 import (
+	"bytes"
+	"os"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/evtrace"
 	"repro/internal/jmutex"
 	"repro/internal/jvm"
@@ -20,14 +23,16 @@ func TestLockProfilesMultiJVM(t *testing.T) {
 	p := workload.Lusearch()
 	p.TotalItems = 1500
 	cfg := jvm.Config{Profile: p, Mutators: 4, GCThreads: 4}
-	tr := evtrace.New(0)
+	tr := evtrace.NewBus()
+	var lp evtrace.LockProfiler
+	lp.Attach(tr)
 	_, err := jvm.RunMultiTraced(42, ostopo.PaperTestbed(), nil, 0,
 		5*60*simkit.Second, tr, cfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	profiles := evtrace.BuildLockProfiles(tr)
+	profiles := lp.Profiles()
 	if len(profiles) < 2 {
 		t.Fatalf("got %d monitor profiles, want >= 2 (one per JVM)", len(profiles))
 	}
@@ -43,10 +48,39 @@ func TestLockProfilesMultiJVM(t *testing.T) {
 		}
 		totalAcquires += lp.Acquires
 	}
-	merged := evtrace.BuildLockProfile(tr, "")
+	merged := lp.Profile("")
 	if merged.Acquires != totalAcquires {
 		t.Errorf("merged profile has %d acquisitions, per-monitor sum is %d",
 			merged.Acquires, totalAcquires)
+	}
+}
+
+// TestLockProfileFixture: `gcsim -bench lusearch -mutators 8 -gcthreads 4
+// -lockprofile` renders byte-identically to the committed fixture, which
+// was captured from the ring re-scan the fold replaced, on a run whose
+// jmutex ring dropped nothing.
+func TestLockProfileFixture(t *testing.T) {
+	want, err := os.ReadFile("testdata/gcsim_lockprofile_lusearch.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := core.BuildRunSpec(core.Config{
+		Benchmark: "lusearch", Mutators: 8, GCThreads: 4,
+		Clients: 64, Requests: 10000, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.EvTracer = evtrace.NewBus()
+	var lp evtrace.LockProfiler
+	lp.Attach(spec.EvTracer)
+	if _, err := jvm.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	lp.Profile("GCTaskManager").Render(&got)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("lock profile differs from the fixture:\n--- got\n%s--- want\n%s", got.Bytes(), want)
 	}
 }
 

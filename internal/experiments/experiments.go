@@ -312,10 +312,15 @@ func runSpec(opt Options, idx int, spec jvm.RunSpec) *jvm.Result {
 	defer opt.Pool.PutScratch(sc)
 	capture := opt.Timeline != nil && idx == opt.Timeline.Cell
 	tr := spec.EvTracer
-	if tr == nil && (((opt.TraceDir != "" || opt.PostmortemDir != "") && idx >= 0) || opt.Check != nil || capture) {
+	switch {
+	case tr != nil:
+	case (opt.TraceDir != "" || opt.PostmortemDir != "") && idx >= 0:
 		tr = evtrace.New(evtrace.DefaultSinkCap)
-		spec.EvTracer = tr
+	case opt.Check != nil || capture:
+		// Every consumer subscribes; nothing reads the rings.
+		tr = evtrace.NewBus()
 	}
+	spec.EvTracer = tr
 	var ck *check.Checker
 	if opt.Check != nil {
 		ck = check.New()

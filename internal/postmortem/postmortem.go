@@ -181,14 +181,25 @@ func New() *Analyzer {
 	}
 }
 
-// Attach subscribes the analyzer to the tracer's event stream. Safe on a
-// nil tracer (no-op).
+// Attach subscribes the analyzer to the kinds of the tracer's event
+// stream that OnEvent handles. Safe on a nil tracer (no-op).
 func (an *Analyzer) Attach(tr *evtrace.Tracer) {
 	if an == nil || tr == nil {
 		return
 	}
 	an.tr = tr
-	tr.Subscribe(an.OnEvent)
+	tr.SubscribeKinds(an.OnEvent, analyzerKinds...)
+}
+
+// analyzerKinds lists the event kinds OnEvent handles; the analyzer
+// ignores every other kind, so Attach subscribes to these alone.
+var analyzerKinds = []evtrace.Kind{
+	evtrace.KWorkerBind, evtrace.KTaskEnqueue, evtrace.KGetTask,
+	evtrace.KStealOK, evtrace.KStealFail, evtrace.KTermOffer,
+	evtrace.KTermSpin, evtrace.KTermDone, evtrace.KGCTask,
+	evtrace.KLockBlock, evtrace.KLockUnblock, evtrace.KLockHandoff,
+	evtrace.KLockFast, evtrace.KPreempt, evtrace.KRunqPop,
+	evtrace.KGCSpan, evtrace.KGCPhase,
 }
 
 // Tracer returns the attached tracer (for Perfetto window export of
@@ -208,9 +219,9 @@ func (an *Analyzer) Reports() []PauseReport {
 // never completed, so there is nothing exact to report.
 func (an *Analyzer) Finish() {}
 
-// OnEvent consumes one bus event. It is the Tracer.Subscribe callback;
-// steady-state processing performs no allocation beyond amortized
-// segment/report growth.
+// OnEvent consumes one bus event. It is the callback Attach subscribes to
+// analyzerKinds; steady-state processing performs no allocation beyond
+// amortized segment/report growth.
 func (an *Analyzer) OnEvent(e evtrace.Event) {
 	switch e.Kind {
 	case evtrace.KWorkerBind:

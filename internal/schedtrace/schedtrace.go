@@ -34,23 +34,24 @@ type Segment struct {
 
 // Recorder rebuilds the per-core run segments from a tracer's cfs events:
 // a dispatch pop (KRunqPop with Arg2 == 0) opens a segment on its core and
-// that core's next KDispatch span closes it. As a bus subscriber it sees
-// every event, so ring drops never cost it a segment. The zero value is
-// ready to Attach.
+// that core's next KDispatch span closes it. It subscribes to those two
+// kinds and sees every one of them, so ring drops never cost it a segment.
+// The zero value is ready to Attach.
 type Recorder struct {
 	segs []Segment
-	open []int       // core -> index+1 of its open segment (0 = none)
-	last simkit.Time // latest bus instant observed
+	open []int // core -> index+1 of its open segment (0 = none)
+	tr   *evtrace.Tracer
 }
 
-// Attach subscribes r to t's event stream. Attach before the machine is
-// built so the recorder sees the run from its first dispatch.
-func (r *Recorder) Attach(t *evtrace.Tracer) { t.Subscribe(r.observe) }
+// Attach subscribes r to t's KRunqPop and KDispatch events. Attach before
+// the machine is built so the recorder sees the run from its first
+// dispatch.
+func (r *Recorder) Attach(t *evtrace.Tracer) {
+	r.tr = t
+	t.SubscribeKinds(r.observe, evtrace.KRunqPop, evtrace.KDispatch)
+}
 
 func (r *Recorder) observe(e evtrace.Event) {
-	if end := simkit.Time(e.At + e.Dur); end > r.last {
-		r.last = end
-	}
 	switch e.Kind {
 	case evtrace.KRunqPop:
 		if e.Arg2 != 0 {
@@ -70,13 +71,13 @@ func (r *Recorder) observe(e evtrace.Event) {
 }
 
 // Segments returns a copy of every recorded segment in dispatch order.
-// Segments still open end at the last bus instant the recorder saw — on a
-// jvm machine, the simulation's final time.
+// Segments still open end at the last instant on the bus (Tracer.Last) —
+// on a jvm machine, the simulation's final time.
 func (r *Recorder) Segments() []Segment {
 	out := append([]Segment(nil), r.segs...)
 	for _, i := range r.open {
 		if i > 0 {
-			out[i-1].End = r.last
+			out[i-1].End = simkit.Time(r.tr.Last())
 		}
 	}
 	return out

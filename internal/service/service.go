@@ -317,10 +317,10 @@ func (s *Service) runJob(j *job) {
 // executor and fleet sweep workers (ServeFleetWorker), so a cell's bytes
 // are identical whichever backend ran it. Every simulation carries a
 // pause-postmortem analyzer: blame attribution subscribes to the event
-// bus (a small ring suffices — the subscriber sees the whole stream) and
-// never perturbs the run, so the body stays deterministic per digest.
+// bus (one that keeps no records — the subscriber sees the whole stream)
+// and never perturbs the run, so the body stays deterministic per digest.
 func computeBody(digest string, spec jvm.RunSpec) ([]byte, error) {
-	tr := evtrace.New(64)
+	tr := evtrace.NewBus()
 	spec.EvTracer = tr
 	an := postmortem.New()
 	an.Attach(tr)
