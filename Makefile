@@ -78,10 +78,10 @@ bench-guard:
 
 # Machine-readable benchmark snapshot: run the tier-1 benchmark subset
 # (simkit kernel micros at full benchtime, the Fig10 / vanilla /
-# optimized macros at one iteration each, and 64 checked sweep cells) and
-# convert the output to BENCH_<yyyymmdd>.json via cmd/benchjson. Commit the
-# file to extend the perf trajectory; the format is documented in
-# EXPERIMENTS.md. An existing
+# optimized macros at one iteration each, 64 checked sweep cells and 256
+# cold gcsimd scenarios from two clients) and convert the output to
+# BENCH_<yyyymmdd>.json via cmd/benchjson. Commit the file to extend the
+# perf trajectory; the format is documented in EXPERIMENTS.md. An existing
 # same-day snapshot is never clobbered — rerun with
 # `make bench-json BENCHJSON_FLAGS=-force` to replace it deliberately.
 BENCH_JSON_OUT ?= BENCH_$(shell date +%Y%m%d).json
@@ -104,7 +104,9 @@ bench-json:
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
 		-bench 'BenchmarkFleetSweep$$' ./internal/fleet/ ; \
 	  $(GO) test -run XXX -benchtime 64x -benchmem \
-		-bench 'BenchmarkCheckedCell$$' ./internal/check/ ; } \
+		-bench 'BenchmarkCheckedCell$$' ./internal/check/ ; \
+	  $(GO) test -run XXX -benchtime 256x -benchmem \
+		-bench 'BenchmarkServiceCold$$' ./internal/service/ ; } \
 	| $(GO) run ./cmd/benchjson $(BENCHJSON_FLAGS) -o $(BENCH_JSON_OUT)
 	@echo "wrote $(BENCH_JSON_OUT)"
 
@@ -175,9 +177,13 @@ bench-benchstat:
 # server, POSTs the same scenario twice (must be miss then hit with
 # byte-identical bodies and matching /metrics counters), replays a sweep
 # from cache, and load-generates both paths — the cached path must beat
-# the cold path by >= 10x RPS.
+# the cold path by >= 10x RPS. Then the pull-worker contract, three times
+# under the race detector: cold runs overlap on /run and /sweep, Close
+# drains every admitted job, and both workers survive a panicking
+# simulation.
 serve-smoke:
 	$(GO) run -race ./cmd/gcsimd -selftest -n 100
+	$(GO) test -race -count=3 -run 'Overlap|Close|Panic' ./internal/service/
 
 # Observability smoke test: a small traced gcsim run must export a
 # Perfetto file containing events from all five instrumented layers

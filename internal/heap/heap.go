@@ -121,7 +121,7 @@ type Heap struct {
 	refs []ObjID
 
 	refsLive int64   // sum of refLen over live objects (compaction trigger)
-	refsBack []ObjID // spare arena buffer, swapped in by compactRefs
+	refsBack []ObjID // spare buffer compactRefs packs live blocks into
 
 	free []ObjID
 
@@ -361,9 +361,11 @@ func (h *Heap) growRefs(id ObjID, need uint32) {
 	off := uint32(len(h.refs))
 	total := int(off) + int(newCap)
 	if total > cap(h.refs) {
-		grown := make([]ObjID, total, max(total, 2*cap(h.refs)))
-		copy(grown, h.refs)
-		h.refs = grown
+		// append's growth (about 1.25x at arena sizes) rather than
+		// doubling: compaction never shrinks the arena's capacity, so
+		// doubling would leave up to half of it unused for the heap's
+		// whole life.
+		h.refs = append(h.refs, make([]ObjID, newCap)...)
 	} else {
 		h.refs = h.refs[:total]
 	}
@@ -604,9 +606,13 @@ func (h *Heap) maybeCompactRefs() {
 	}
 }
 
-// compactRefs rewrites every live object's reference block contiguously
-// into the spare arena buffer and swaps it in. Reservations shrink to the
-// live length; free slots lose their (now dangling) reservations.
+// compactRefs rewrites every live object's reference block contiguously:
+// it packs them into the spare buffer, then copies the packed blocks back
+// to the start of the arena, so block offsets are those of the packed
+// layout. Reservations shrink to the live length; free slots lose their
+// (now dangling) reservations. Copying back instead of swapping keeps the
+// spare at the size of the live refs (at most a quarter of the arena,
+// given the trigger) instead of a second arena-sized buffer.
 func (h *Heap) compactRefs() {
 	dst := h.refsBack[:0]
 	for _, list := range [][]ObjID{h.eden, h.from, h.to, h.old} {
@@ -625,7 +631,8 @@ func (h *Heap) compactRefs() {
 	for _, id := range h.free {
 		h.meta[id].refOff, h.meta[id].refLen, h.meta[id].refCap = 0, 0, 0
 	}
-	h.refs, h.refsBack = dst, h.refs[:0]
+	h.refs = h.refs[:copy(h.refs, dst)]
+	h.refsBack = dst[:0]
 	h.Stats.RefCompactions++
 }
 

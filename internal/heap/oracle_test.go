@@ -365,9 +365,32 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 				compareState(t, step+"/major", h, r)
 			}
 
+			// Forced refs-arena compaction between mutations: the arena
+			// must shrink to exactly the live blocks, every live object's
+			// Refs must read the same, and later allocations and block
+			// growth must keep working on the compacted arena.
+			compact := func(step string) {
+				before := h.Stats.RefCompactions
+				h.compactRefs()
+				if h.Stats.RefCompactions != before+1 {
+					t.Fatalf("%s: RefCompactions %d -> %d, want +1", step, before, h.Stats.RefCompactions)
+				}
+				want := 0
+				for _, o := range r.objs {
+					want += len(o.refs)
+				}
+				if len(h.refs) != want {
+					t.Fatalf("%s: compacted arena holds %d slots, live refs %d", step, len(h.refs), want)
+				}
+				compareState(t, step+"/compact", h, r)
+			}
+
 			for round := 0; round < 60; round++ {
 				step := fmt.Sprintf("round%d", round)
 				for op := 0; op < 120; op++ {
+					if op%40 == 39 {
+						compact(fmt.Sprintf("%s/op%d", step, op))
+					}
 					refreshLive()
 					switch k := rng.Intn(10); {
 					case k < 5: // eden alloc

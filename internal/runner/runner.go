@@ -29,9 +29,10 @@ import (
 
 // Pool is a bounded worker pool. The zero value is not usable; construct
 // with New. A Pool keeps no goroutines alive between calls — workers are
-// spawned per ForEach/Map call and bounded by the pool's size — so it is
-// cheap to create and needs no shutdown. Stats accumulate across calls,
-// letting a caller that shares one Pool report aggregate speedup.
+// spawned per ForEach/Map call and bounded by the pool's size, or owned by
+// a caller that times each task through Do — so it is cheap to create and
+// needs no shutdown. Stats accumulate across calls, letting a caller that
+// shares one Pool report aggregate speedup.
 type Pool struct {
 	workers int
 	tasks   atomic.Int64
@@ -114,6 +115,20 @@ func (p *Pool) PutScratch(v any) {
 	}
 }
 
+// Do runs one task on the calling goroutine and counts it in Stats like a
+// ForEach task: its time, panics included, adds to the busy total. It is
+// the entry point for callers that keep their own long-lived workers (the
+// what-if service's pull workers) but share the pool's accounting and
+// scratch free-list. A panic in fn propagates to the caller.
+func (p *Pool) Do(fn func()) {
+	t0 := time.Now()
+	defer func() {
+		p.busy.Add(int64(time.Since(t0)))
+		p.tasks.Add(1)
+	}()
+	fn()
+}
+
 // ForEach invokes fn(i) for every i in [0,n), distributing indices across
 // the pool's workers, and returns once all invocations have finished.
 // Indices are handed out in order but may complete out of order. If any
@@ -133,14 +148,7 @@ func (p *Pool) ForEach(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	timed := func(i int) {
-		t0 := time.Now()
-		defer func() {
-			p.busy.Add(int64(time.Since(t0)))
-			p.tasks.Add(1)
-		}()
-		fn(i)
-	}
+	timed := func(i int) { p.Do(func() { fn(i) }) }
 	workers := p.workers
 	if workers > n {
 		workers = n

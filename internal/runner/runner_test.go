@@ -97,6 +97,30 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
+// Do is a one-task ForEach for callers that own their workers: it runs on
+// the caller's goroutine, its time (a panicking task's included) lands in
+// Stats, and the panic reaches the caller.
+func TestDoCountsLikeForEachTask(t *testing.T) {
+	p := New(2)
+	ran := false
+	p.Do(func() { ran = true; time.Sleep(time.Millisecond) })
+	if !ran {
+		t.Fatal("Do did not run its task")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the task's panic", r)
+			}
+		}()
+		p.Do(func() { panic("boom") })
+	}()
+	tasks, busy := p.Stats()
+	if tasks != 2 || busy < time.Millisecond {
+		t.Errorf("Stats after two Do tasks = (%d, %v), want (2, >= 1ms)", tasks, busy)
+	}
+}
+
 // TestStatsSinceReportsDeltas is the regression test for per-experiment
 // speedup reporting: cumulative Stats on a shared pool must not leak one
 // batch's work into the next batch's numbers.

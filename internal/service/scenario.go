@@ -7,10 +7,10 @@
 // same result, so responses are cached in an LRU keyed by the canonical
 // config digest (core.Config.Digest), identical concurrent requests are
 // coalesced onto one simulation (singleflight), and queued scenarios are
-// batched through a shared runner.Pool whose per-worker scratch reuse
-// keeps marginal cost low. Admission control bounds the queue — a full
-// queue rejects rather than collapses (429) — and every request carries a
-// timeout.
+// pulled by long-lived workers that share one runner.Pool, whose
+// per-worker scratch reuse keeps marginal cost low. Admission control
+// bounds the queue — a full queue rejects rather than collapses (429) —
+// and every request carries a timeout.
 package service
 
 import (

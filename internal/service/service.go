@@ -57,7 +57,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// job is one admitted scenario on its way through the batch executor.
+// job is one admitted scenario on its way through the pull workers.
 type job struct {
 	spec   jvm.RunSpec
 	digest string
@@ -88,8 +88,8 @@ type Service struct {
 	fleetCmd     func(i int) (*exec.Cmd, error)
 	fleetGate    chan struct{}
 
-	dispatcherDone chan struct{}
-	started        time.Time
+	workers sync.WaitGroup // the pull workers; Close waits for them
+	started time.Time
 
 	// Counters for /metrics (atomics: requests arrive concurrently).
 	requests  atomic.Int64 // scenario requests (run + sweep cells)
@@ -112,38 +112,37 @@ type Service struct {
 	latCoalesced stats.Histogram // OutcomeCoalesced: joined an in-flight run
 }
 
-// New starts a Service: one dispatcher goroutine batching admitted
-// scenarios through a bounded worker pool.
+// New starts a Service: one long-lived pull worker per pool slot, each
+// taking the next admitted scenario the moment it is free.
 func New(opts Options) *Service {
 	opts = opts.withDefaults()
 	s := &Service{
-		opts:           opts,
-		pool:           runner.New(opts.Workers),
-		cache:          newLRUCache(opts.CacheSize),
-		inflight:       make(map[string]*job),
-		queue:          make(chan *job, opts.QueueCap),
-		fleetGate:      make(chan struct{}, 1),
-		dispatcherDone: make(chan struct{}),
-		started:        time.Now(),
+		opts:      opts,
+		pool:      runner.New(opts.Workers),
+		cache:     newLRUCache(opts.CacheSize),
+		inflight:  make(map[string]*job),
+		queue:     make(chan *job, opts.QueueCap),
+		fleetGate: make(chan struct{}, 1),
+		started:   time.Now(),
 	}
-	go s.dispatch()
+	s.workers.Add(s.pool.Workers())
+	for w := 0; w < s.pool.Workers(); w++ {
+		go s.work()
+	}
 	return s
 }
 
 // Close drains the queue (every admitted job still completes, so no
-// waiter is stranded) and stops the dispatcher. Requests arriving after
-// Close get ErrClosed.
+// waiter is stranded) and returns once every worker has exited. Requests
+// arriving after Close get ErrClosed.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.dispatcherDone
-		return
+	if !s.closed {
+		s.closed = true
+		close(s.queue) // enqueues happen under mu, so this cannot race a send
 	}
-	s.closed = true
-	close(s.queue) // enqueues happen under mu, so this cannot race a send
 	s.mu.Unlock()
-	<-s.dispatcherDone
+	s.workers.Wait()
 }
 
 // Outcome labels how a request was satisfied (the X-Gcsimd-Cache header).
@@ -156,7 +155,7 @@ const (
 )
 
 // Run answers one scenario: cache hit, coalesce onto an identical
-// in-flight simulation, or admit a new job into the batch executor. The
+// in-flight simulation, or admit a new job for the pull workers. The
 // returned body is the exact cached byte slice — callers must not mutate
 // it.
 func (s *Service) Run(ctx context.Context, scn Scenario) (body []byte, out Outcome, err error) {
@@ -214,8 +213,8 @@ func (s *Service) Run(ctx context.Context, scn Scenario) (body []byte, out Outco
 	}
 }
 
-// admit coalesces onto an in-flight job for digest or enqueues a new one,
-// enforcing the admission bound.
+// admit coalesces onto an in-flight job for digest, answers from the
+// cache, or enqueues a new job, enforcing the admission bound.
 func (s *Service) admit(digest string, spec jvm.RunSpec) (*job, Outcome, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,6 +224,15 @@ func (s *Service) admit(digest string, spec jvm.RunSpec) (*job, Outcome, error) 
 	if j, ok := s.inflight[digest]; ok {
 		s.coalesced.Add(1)
 		return j, OutcomeCoalesced, nil
+	}
+	// The job for digest may have finished since Run's cache probe. A job
+	// caches its body before it leaves inflight, so probing again under
+	// mu closes the window in which a second simulation would start.
+	if body, ok := s.cache.Get(digest); ok {
+		s.hits.Add(1)
+		j := &job{digest: digest, body: body, done: make(chan struct{})}
+		close(j.done)
+		return j, OutcomeHit, nil
 	}
 	if len(s.inflight) >= s.opts.QueueCap {
 		s.rejected.Add(1)
@@ -244,34 +252,19 @@ func (s *Service) admit(digest string, spec jvm.RunSpec) (*job, Outcome, error) 
 	return j, OutcomeMiss, nil
 }
 
-// dispatch is the batch executor: it blocks for one admitted job, drains
-// whatever else is already queued into the same batch, and fans the batch
-// across the worker pool. Per-worker scratch (runner.Pool's free-list)
-// carries event arenas and heap tables from cell to cell, so a busy
-// server rebuilds its expensive state once per worker, not once per
+// work is one pull worker: it runs admitted jobs one at a time until Close
+// closes the queue, so up to Workers scenarios simulate at once and a job
+// starts as soon as any worker is free. The admission cap, not the worker
+// count, bounds queued work. Each job is timed through the pool (the
+// worker_busy_frac metric), and per-worker scratch (runner.Pool's
+// free-list) carries event arenas and heap tables from cell to cell, so a
+// busy server rebuilds its expensive state once per worker, not once per
 // request — even when consecutive cells have completely different
 // topologies and scales.
-func (s *Service) dispatch() {
-	defer close(s.dispatcherDone)
-	for {
-		j, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := []*job{j}
-	drain:
-		for {
-			select {
-			case next, ok := <-s.queue:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, next)
-			default:
-				break drain
-			}
-		}
-		s.pool.ForEach(len(batch), func(i int) { s.runJob(batch[i]) })
+func (s *Service) work() {
+	defer s.workers.Done()
+	for j := range s.queue {
+		s.pool.Do(func() { s.runJob(j) })
 	}
 }
 

@@ -128,6 +128,32 @@ func TestInFlightCoalescing(t *testing.T) {
 	_ = other
 }
 
+// A job that finished between Run's cache probe and its admission must
+// be answered from the cache, not simulated a second time: under load,
+// identical concurrent requests used to run the scenario more than once.
+func TestAdmitRechecksCache(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	s.cache.Add("digest", []byte("body"))
+	j, out, err := s.admit("digest", jvm.RunSpec{})
+	if err != nil || out != OutcomeHit {
+		t.Fatalf("admit = (%q, %v), want a cache hit", out, err)
+	}
+	select {
+	case <-j.done:
+	default:
+		t.Fatal("a cache hit's job is not done")
+	}
+	if string(j.body) != "body" {
+		t.Errorf("body = %q, want the cached body", j.body)
+	}
+	s.mu.Lock()
+	queued := len(s.inflight)
+	s.mu.Unlock()
+	if queued != 0 || s.hits.Load() != 1 {
+		t.Errorf("%d jobs admitted, %d hits counted; want 0 and 1", queued, s.hits.Load())
+	}
+}
+
 // The admission bound must shed load with ErrQueueFull (HTTP 429)
 // instead of queueing without limit. Deterministic: wedge the in-flight
 // table to capacity with jobs that never finish, then knock.

@@ -13,6 +13,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/heap"
 	"repro/internal/objgraph"
@@ -333,27 +334,53 @@ func SPECjvm() []Profile {
 func Table1Benchmarks() []Profile { return append(DaCapo(), SPECjvm()...) }
 
 // ByName looks up a profile by benchmark name (HiBench names accept a
-// "(size)" suffix; bare HiBench and cassandra names get defaults).
+// "(size)" suffix; bare HiBench names get the large data size). It builds
+// only the named profile, so every call returns a fresh value the caller
+// may edit (TotalItems, say) without touching anyone else's.
 func ByName(name string) (Profile, error) {
-	all := Table1Benchmarks()
-	all = append(all,
-		Kmeans(SizeSmall), Kmeans(SizeLarge), Kmeans(SizeHuge),
-		Wordcount(SizeSmall), Wordcount(SizeLarge), Wordcount(SizeHuge),
-		Pagerank(SizeSmall), Pagerank(SizeLarge), Pagerank(SizeHuge),
-		Cassandra(),
-	)
-	for _, p := range all {
-		if p.Name == name {
-			return p, nil
-		}
-	}
 	switch name {
+	case "h2":
+		return H2(), nil
+	case "jython":
+		return Jython(), nil
+	case "lusearch":
+		return Lusearch(), nil
+	case "sunflow":
+		return Sunflow(), nil
+	case "xalan":
+		return Xalan(), nil
+	case "compiler.compiler":
+		return CompilerCompiler(), nil
+	case "compress":
+		return Compress(), nil
+	case "crypto.signverify":
+		return CryptoSignverify(), nil
+	case "xml.transform":
+		return XMLTransform(), nil
+	case "xml.validation":
+		return XMLValidation(), nil
+	case "cassandra":
+		return Cassandra(), nil
+	}
+	job, suffix, sized := strings.Cut(name, "(")
+	var build func(DataSize) Profile
+	switch job {
 	case "kmeans":
-		return Kmeans(SizeLarge), nil
+		build = Kmeans
 	case "wordcount":
-		return Wordcount(SizeLarge), nil
+		build = Wordcount
 	case "pagerank":
-		return Pagerank(SizeLarge), nil
+		build = Pagerank
+	}
+	if build != nil {
+		if !sized {
+			return build(SizeLarge), nil
+		}
+		for _, size := range []DataSize{SizeSmall, SizeLarge, SizeHuge} {
+			if suffix == size.String()+")" {
+				return build(size), nil
+			}
+		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }

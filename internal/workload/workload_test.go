@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,52 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nonesuch"); err == nil {
 		t.Error("ByName accepted an unknown benchmark")
+	}
+}
+
+// ByName must resolve every name of the full profile table — the ten
+// Table-1 programs, each HiBench job at each size, Cassandra — to exactly
+// that table's entry, give bare HiBench names the large size, reject
+// anything else, and hand out values that do not alias each other.
+func TestByNameMatchesTable(t *testing.T) {
+	table := append(Table1Benchmarks(),
+		Kmeans(SizeSmall), Kmeans(SizeLarge), Kmeans(SizeHuge),
+		Wordcount(SizeSmall), Wordcount(SizeLarge), Wordcount(SizeHuge),
+		Pagerank(SizeSmall), Pagerank(SizeLarge), Pagerank(SizeHuge),
+		Cassandra(),
+	)
+	if len(table) != 20 {
+		t.Fatalf("table has %d profiles, want 20", len(table))
+	}
+	want := map[string]Profile{
+		"kmeans":    Kmeans(SizeLarge),
+		"wordcount": Wordcount(SizeLarge),
+		"pagerank":  Pagerank(SizeLarge),
+	}
+	for _, p := range table {
+		want[p.Name] = p
+	}
+	for name, p := range want {
+		got, err := ByName(name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("ByName(%q) = %+v, want %+v", name, got, p)
+		}
+	}
+	for _, name := range []string{"nonesuch", "", "Lusearch", "lusearch(small)",
+		"kmeans(", "kmeans()", "kmeans(medium)", "kmeans(large", "kmeans(large)x",
+		"cassandra(large)", "pagerank(DataSize(3))"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted an unknown benchmark", name)
+		}
+	}
+	a, _ := ByName("lusearch")
+	a.TotalItems = 1
+	if b, _ := ByName("lusearch"); b.TotalItems == 1 {
+		t.Error("an edit to one ByName result leaked into the next")
 	}
 }
 
