@@ -33,11 +33,15 @@ check: fmt-check vet race check-invariants bench-smoke bench-guard benchjson-smo
 
 # Correctness harness: race-test the checker package itself, then run a
 # 32-cell smoke slice of the seed-sweep property harness (a prefix of the
-# 256-cell sweep, so any failure reproduces with `simcheck -cells <i+1>`).
+# 256-cell sweep, so any failure reproduces with `simcheck -cells <i+1>`),
+# then Fig15 at scale 4 under the checker: its co-running multi-JVM cells
+# (§5.7) are the evaluation's only ones, and the run exits 1 on a
+# violation.
 check-invariants:
 	$(GO) vet ./internal/check/ ./cmd/simcheck/
 	$(GO) test -race ./internal/check/
 	$(GO) run ./cmd/simcheck -cells 32
+	$(GO) run ./cmd/experiments -run fig15 -scale 4 -check > /dev/null
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -220,7 +220,7 @@ func renderTimeline(w io.Writer, id string, tc *experiments.TimelineCapture) err
 		return fmt.Errorf("-timeline %d: experiment %s has no such cell", tc.Cell, id)
 	}
 	title := fmt.Sprintf("timeline: %s cell %d (%s)", id, tc.Cell, r.Benchmark)
-	if err := schedtrace.RenderMidGC(w, &tc.Recorder, r.NumCPUs, r.Reports, title); err != nil {
+	if err := schedtrace.RenderMidGC(w, tc.Recorder, r.NumCPUs, r.Reports, title); err != nil {
 		return fmt.Errorf("-timeline %d: %w", tc.Cell, err)
 	}
 	return nil

@@ -19,8 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/evtrace"
 	"repro/internal/gclog"
-	"repro/internal/jvm"
-	"repro/internal/postmortem"
 	"repro/internal/schedtrace"
 	"repro/internal/stats"
 )
@@ -111,14 +109,7 @@ func realMain(argv []string) int {
 		BusyLoops: *busy, SMT: *smt, Seed: *seed,
 	}
 
-	if *timeline {
-		if err := renderTimeline(cfg); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *compare {
+	if *compare && !*timeline {
 		if *runs > 1 {
 			if err := compareRuns(cfg, *runs); err != nil {
 				return fail(err)
@@ -142,49 +133,43 @@ func realMain(argv []string) int {
 		return fail(err)
 	}
 	// Observability hooks: the event bus feeds the Perfetto export, the
-	// lock profiler, the checker and the postmortem analyzer; the registry
-	// feeds -metrics and -gcjson. Only the two trace exports read the
-	// rings, so without them the bus keeps no records.
-	wantPostmortem := *postmortemF || *postmortemJSON != "" || *postmortemWin != ""
-	var tracer *evtrace.Tracer
-	switch {
-	case *evtraceOut != "" || *postmortemWin != "":
-		tracer = evtrace.New(*evtraceCap)
-	case *lockprof || *checkF || wantPostmortem:
-		tracer = evtrace.NewBus()
+	// lock profiler, the checker, the postmortem analyzer and the timeline;
+	// the registry feeds -metrics and -gcjson. Only the two trace exports
+	// read the rings, so without them the bus keeps no records.
+	obs := check.Observers{
+		Check:       *checkF,
+		Postmortem:  *postmortemF || *postmortemJSON != "" || *postmortemWin != "",
+		LockProfile: *lockprof,
+		Timeline:    *timeline,
 	}
-	spec.EvTracer = tracer
-	var profiler *evtrace.LockProfiler
-	if *lockprof {
-		profiler = new(evtrace.LockProfiler)
-		profiler.Attach(tracer)
-	}
-	var checker *check.Checker
-	if *checkF {
-		checker = check.New()
-		checker.Attach(tracer)
-	}
-	var analyzer *postmortem.Analyzer
-	if wantPostmortem {
-		analyzer = postmortem.New()
-		analyzer.Attach(tracer)
+	if *evtraceOut != "" || *postmortemWin != "" {
+		obs.Rings = *evtraceCap
+		if obs.Rings <= 0 {
+			obs.Rings = evtrace.DefaultSinkCap
+		}
 	}
 	var reg *evtrace.Registry
 	if *metricsF || *gcjson != "" {
 		reg = evtrace.NewRegistry()
 		spec.Metrics = reg
 	}
-	res, err := jvm.Run(spec)
+	ob, err := obs.Run(spec)
 	if err != nil {
 		return fail(err)
 	}
+	res, tracer, checker, analyzer := ob.Results[0], ob.Tracer, ob.Checker, ob.Analyzer
+	if *timeline {
+		// The scheduling timeline around a representative mid-run GC
+		// replaces the report.
+		title := fmt.Sprintf("%s (%s)", res.Benchmark, cfg.Optimizations)
+		if err := schedtrace.RenderMidGC(os.Stdout, ob.Timeline, res.NumCPUs, res.Reports, title); err != nil {
+			return fail(err)
+		}
+		return exit(0)
+	}
 	report(*opt, res, *gclogF)
 	if checker != nil {
-		checker.Finish()
 		fmt.Print(checker.Report())
-	}
-	if analyzer != nil {
-		analyzer.Finish()
 	}
 	if *postmortemF {
 		analyzer.Postmortem().Render(os.Stdout)
@@ -230,8 +215,8 @@ func realMain(argv []string) int {
 			}
 		}
 	}
-	if profiler != nil {
-		profiler.Profile("GCTaskManager").Render(os.Stdout)
+	if ob.Profiler != nil {
+		ob.Profiler.Profile("GCTaskManager").Render(os.Stdout)
 	}
 	if *metricsF {
 		fmt.Println("metrics:")
@@ -274,26 +259,6 @@ func report(label string, r *core.Result, printLog bool) {
 	if printLog {
 		gclog.Write(os.Stdout, r.Reports)
 	}
-}
-
-// renderTimeline runs the configuration with a schedtrace recorder on the
-// event bus and draws the timeline around a representative mid-run GC.
-func renderTimeline(cfg core.Config) error {
-	spec, err := core.BuildRunSpec(cfg)
-	if err != nil {
-		return err
-	}
-	// The recorder subscribes to the events it reads, so the bus keeps no
-	// records.
-	spec.EvTracer = evtrace.NewBus()
-	var rec schedtrace.Recorder
-	rec.Attach(spec.EvTracer)
-	r, err := jvm.Run(spec)
-	if err != nil {
-		return err
-	}
-	title := fmt.Sprintf("%s (%s)", r.Benchmark, cfg.Optimizations)
-	return schedtrace.RenderMidGC(os.Stdout, &rec, r.NumCPUs, r.Reports, title)
 }
 
 // compareRuns averages vanilla and optimized over several seeds — the

@@ -48,7 +48,7 @@ func main() {
 			cfgB = cfgB.WithOptimizations()
 			name = "optimized"
 		}
-		rs, err := jvm.RunMulti(22, nil, nil, 0, 0, cfgA, cfgB)
+		rs, err := jvm.RunJVMs(jvm.RunSpec{Seed: 22}, cfgA, cfgB)
 		if err != nil {
 			log.Fatal(err)
 		}

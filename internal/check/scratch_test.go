@@ -42,15 +42,15 @@ func (p *stackPool) Put(x any) {
 // machines, with no scratch.
 func coldDigests(t *testing.T, cell Cell) (checked, bare string) {
 	t.Helper()
-	c, err := runCellOnce(cell, 0, evtrace.New(0), nil)
+	c, err := Simulate(cell, 0, Observers{Rings: evtrace.DefaultSinkCap}, nil)
 	if err != nil {
 		t.Fatalf("%s: cold checked run: %v", cell, err)
 	}
-	b, err := runCellOnce(cell, 0, nil, nil)
+	b, err := Simulate(cell, 0, Observers{}, nil)
 	if err != nil {
 		t.Fatalf("%s: cold bare run: %v", cell, err)
 	}
-	return digestResults(c), digestResults(b)
+	return digestResults(c.Results), digestResults(b.Results)
 }
 
 // TestPooledScratchMatchesCold: checked cells that run on recycled scratch
@@ -88,7 +88,7 @@ func TestPooledScratchMatchesCold(t *testing.T) {
 
 	pool := &stackPool{}
 	for _, i := range idx {
-		check(runPooled(pool, CellAt(42, i), RunOptions{}, evtrace.NewBus()))
+		check(runPooled(pool, CellAt(42, i), RunOptions{}, Observers{Check: true, Postmortem: true}))
 	}
 	if pool.news != 1 {
 		t.Fatalf("serial pass built %d scratches, want 1 reused throughout", pool.news)
@@ -107,7 +107,7 @@ func TestPooledScratchMatchesCold(t *testing.T) {
 				if g == 1 {
 					i = idx[len(idx)-1-k]
 				}
-				results[g] = append(results[g], runPooled(pool, CellAt(42, i), RunOptions{}, evtrace.NewBus()))
+				results[g] = append(results[g], runPooled(pool, CellAt(42, i), RunOptions{}, Observers{Check: true, Postmortem: true}))
 			}
 		}()
 	}
@@ -130,13 +130,15 @@ func TestPooledScratchMatchesCold(t *testing.T) {
 func TestPanickedScratchNotPooled(t *testing.T) {
 	cell := CellAt(42, 0)
 	pool := &stackPool{}
-	tr := evtrace.NewBus()
-	tr.Subscribe(func(e evtrace.Event) {
-		if e.Kind == evtrace.KGCSpan {
-			panic("injected")
-		}
-	})
-	r := runPooled(pool, cell, RunOptions{}, tr)
+	obs := Observers{Check: true, Postmortem: true}
+	obs.Attach = func(tr *evtrace.Tracer) {
+		tr.Subscribe(func(e evtrace.Event) {
+			if e.Kind == evtrace.KGCSpan {
+				panic("injected")
+			}
+		})
+	}
+	r := runPooled(pool, cell, RunOptions{}, obs)
 	var pe *panicError
 	if !errors.As(r.Err, &pe) {
 		t.Fatalf("run error = %v, want a panic", r.Err)
@@ -153,7 +155,7 @@ func TestPanickedScratchNotPooled(t *testing.T) {
 		t.Fatalf("failed cell has no complete triage replay (tracer %v, drops %d)", r.Tracer != nil, r.Drops)
 	}
 
-	r = runPooled(pool, cell, RunOptions{}, evtrace.NewBus())
+	r = runPooled(pool, cell, RunOptions{}, Observers{Check: true, Postmortem: true})
 	if r.Failed() {
 		t.Fatalf("%s", r.Summary())
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/jmutex"
 	"repro/internal/jvm"
 	"repro/internal/ostopo"
-	"repro/internal/postmortem"
 	"repro/internal/simkit"
 	"repro/internal/taskq"
 	"repro/internal/workload"
@@ -236,7 +235,7 @@ func RunCell(cell Cell) *CellResult {
 
 // RunCellOpts is RunCell with explicit RunOptions.
 func RunCellOpts(cell Cell, o RunOptions) *CellResult {
-	return runPooled(&cellScratch, cell, o, evtrace.NewBus())
+	return runPooled(&cellScratch, cell, o, Observers{Check: true, Postmortem: true})
 }
 
 // cellScratch recycles machine storage (jvm.Scratch) across the cells a
@@ -251,13 +250,14 @@ type scratchPool interface {
 	Put(any)
 }
 
-// runPooled runs the cell's checked run on tr and its bare replay, both on
-// one scratch from pool. The scratch goes back to the pool only when
-// neither run panicked: a panic can leave the machine's storage mid-update.
-// A cell that failed is then replayed for triage (Triage).
-func runPooled(pool scratchPool, cell Cell, o RunOptions, tr *evtrace.Tracer) *CellResult {
+// runPooled runs the cell's checked run under obs (which must include
+// the checker and the analyzer) and its bare replay, both on one scratch
+// from pool. The scratch goes back to the pool only when neither run
+// panicked: a panic can leave the machine's storage mid-update. A cell
+// that failed is then replayed for triage (Triage).
+func runPooled(pool scratchPool, cell Cell, o RunOptions, obs Observers) *CellResult {
 	sc := pool.Get().(*jvm.Scratch)
-	res := runChecked(cell, o, tr, sc)
+	res := runChecked(cell, o, obs, sc)
 	var pe *panicError
 	if !errors.As(res.Err, &pe) {
 		pool.Put(sc)
@@ -268,44 +268,38 @@ func runPooled(pool scratchPool, cell Cell, o RunOptions, tr *evtrace.Tracer) *C
 	return res
 }
 
-// runChecked runs the cell's checked run on tr, with the checker and the
-// postmortem analyzer subscribed, then its bare replay, on scratch sc.
-func runChecked(cell Cell, o RunOptions, tr *evtrace.Tracer, sc *jvm.Scratch) *CellResult {
+// runChecked runs the cell's checked run under obs, then its bare replay,
+// on scratch sc.
+func runChecked(cell Cell, o RunOptions, obs Observers, sc *jvm.Scratch) *CellResult {
 	res := &CellResult{Cell: cell, items: o.Items}
-	ck := New()
-	ck.Attach(tr)
-	an := postmortem.New()
-	an.Attach(tr)
-	checked, err := runCellOnce(cell, o.Items, tr, sc)
+	checked, err := Simulate(cell, o.Items, obs, sc)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	ck.Finish()
-	an.Finish()
-	res.Events = ck.EventsSeen()
-	res.Violations = ck.Violations()
-	res.Total = ck.Total()
-	ex := an.Export()
+	res.Events = checked.Checker.EventsSeen()
+	res.Violations = checked.Checker.Violations()
+	res.Total = checked.Checker.Total()
+	ex := checked.Analyzer.Export()
 	res.BlameViolations = ex.Verify()
 	res.Pathology = ex.Pathology
-	res.Digest = digestResults(checked)
+	res.Digest = digestResults(checked.Results)
 
 	if o.SkipBare {
 		res.BareDigest = res.Digest
 		return res
 	}
-	bare, err := runCellOnce(cell, o.Items, nil, sc)
+	bare, err := Simulate(cell, o.Items, Observers{}, sc)
 	if err != nil {
 		res.Err = fmt.Errorf("bare replay: %w", err)
 		return res
 	}
-	res.BareDigest = digestResults(bare)
+	res.BareDigest = digestResults(bare.Results)
 	return res
 }
 
 // Triage replays the cell once more for its triage window: cold, on
-// evtrace.New(0) rings with a checker attached, under the same panic
+// DefaultSinkCap rings with a checker attached, under the same panic
 // recovery. It sets Tracer and Drops from the replay. The checked run
 // keeps no records, and it needs none: Seq does not depend on retention,
 // and the checked-vs-bare digest differential shows that a same-seed
@@ -313,21 +307,13 @@ func runChecked(cell Cell, o RunOptions, tr *evtrace.Tracer, sc *jvm.Scratch) *C
 // the checked run would have retained. RunCellOpts triages every cell that
 // failed; callers that fail a cell on grounds of their own call it too.
 func (r *CellResult) Triage() {
-	tr := evtrace.New(0)
-	New().Attach(tr)
 	// A run error repeats the checked run's, which r already reports; the
 	// rings hold the events up to it.
-	_, _ = Simulate(r.Cell, r.items, tr)
-	r.Tracer, r.Drops = tr, 0
-	for _, d := range tr.Drops() {
+	ob, _ := Simulate(r.Cell, r.items, Observers{Check: true, Rings: evtrace.DefaultSinkCap}, nil)
+	r.Tracer, r.Drops = ob.Tracer, 0
+	for _, d := range ob.Tracer.Drops() {
 		r.Drops += d
 	}
-}
-
-// Simulate runs the cell once, cold, with the checked run's configuration
-// and on tr (nil runs it bare), and no checker. Panics surface as errors.
-func Simulate(cell Cell, items int, tr *evtrace.Tracer) ([]*jvm.Result, error) {
-	return runCellOnce(cell, items, tr, nil)
 }
 
 // panicError is a run that panicked (e.g. a tripped VerifyHeap assertion).
@@ -335,15 +321,12 @@ type panicError struct{ v any }
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.v) }
 
-// runCellOnce performs one simulation of the cell, optionally on a tracer,
-// on scratch storage sc (nil runs cold). Panics surface as *panicError so
-// the sweep reports the cell instead of dying.
-func runCellOnce(cell Cell, items int, tr *evtrace.Tracer, sc *jvm.Scratch) (results []*jvm.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &panicError{r}
-		}
-	}()
+// Simulate runs the cell once with the checked run's configuration and
+// the observers obs, on scratch storage sc (nil runs cold). Panics surface
+// as *panicError so the sweep reports the cell instead of dying; the
+// returned set is non-nil either way, holding what the observers saw up
+// to the failure.
+func Simulate(cell Cell, items int, obs Observers, sc *jvm.Scratch) (ob *Observed, err error) {
 	cfg := jvm.Config{
 		Profile:        sweepProfile(items),
 		Mutators:       cell.Mutators,
@@ -361,10 +344,17 @@ func runCellOnce(cell Cell, items int, tr *evtrace.Tracer, sc *jvm.Scratch) (res
 		cfgB.Mutators = 1 + cell.Mutators/2
 		cfgs = append(cfgs, cfgB)
 	}
-	return jvm.RunJVMs(jvm.RunSpec{
+	spec := jvm.RunSpec{
 		Topo: cell.topology(), Seed: cell.Seed, BusyLoops: cell.BusyLoops,
-		MaxSim: 5 * 60 * simkit.Second, EvTracer: tr, Scratch: sc,
-	}, cfgs...)
+		MaxSim: 5 * 60 * simkit.Second, Scratch: sc,
+	}
+	ob = obs.attach()
+	defer func() {
+		if r := recover(); r != nil {
+			err = &panicError{r}
+		}
+	}()
+	return ob, ob.run(spec, cfgs)
 }
 
 // digestResults hashes everything a run reports — the per-GC reports, lock

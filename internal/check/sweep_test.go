@@ -57,21 +57,21 @@ func TestSweepSmoke(t *testing.T) {
 // into the digested encoding would flake this test.
 func TestDigestStableAcrossRepeatedRuns(t *testing.T) {
 	cell := Cells(42, 1)[0]
-	results, err := runCellOnce(cell, 0, nil, nil)
+	ob, err := Simulate(cell, 0, Observers{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := digestResults(results)
+	want := digestResults(ob.Results)
 	for i := 0; i < 10; i++ {
-		if got := digestResults(results); got != want {
+		if got := digestResults(ob.Results); got != want {
 			t.Fatalf("repeated digest of one result set differs: %s != %s", got, want)
 		}
 	}
-	rerun, err := runCellOnce(cell, 0, nil, nil)
+	rerun, err := Simulate(cell, 0, Observers{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := digestResults(rerun); got != want {
+	if got := digestResults(rerun.Results); got != want {
 		t.Fatalf("fresh replay digest differs: %s != %s", got, want)
 	}
 }
@@ -159,13 +159,11 @@ func TestWriteViolationWindow(t *testing.T) {
 // exports the whole run).
 func TestReplayWindowMatchesRetainedRun(t *testing.T) {
 	cell := CellAt(42, 0)
-	retained := evtrace.New(0)
-	ck := New()
-	ck.Attach(retained)
-	if _, err := runCellOnce(cell, 0, retained, nil); err != nil {
+	ob, err := Simulate(cell, 0, Observers{Check: true, Rings: evtrace.DefaultSinkCap}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Finish()
+	retained, ck := ob.Tracer, ob.Checker
 	if ck.Total() != 0 || len(retained.Drops()) != 0 {
 		t.Fatalf("retained run: %d violations, drops %v; want a clean, complete run", ck.Total(), retained.Drops())
 	}

@@ -19,13 +19,18 @@ import (
 func TestKindSubscriptionsMatchCatchAll(t *testing.T) {
 	p := workload.Lusearch()
 	p.TotalItems /= 8
-	fig10 := func(tr *evtrace.Tracer) error {
+	// Each run calls attach with its bus before it starts.
+	fig10 := func(attach func(*evtrace.Tracer)) error {
 		cfg := jvm.Config{Profile: p, Mutators: 16}
+		tr := evtrace.NewBus()
+		attach(tr)
 		_, err := jvm.Run(jvm.RunSpec{Config: cfg, Seed: 10000, EvTracer: tr})
 		return err
 	}
-	busy := func(tr *evtrace.Tracer) error {
+	busy := func(attach func(*evtrace.Tracer)) error {
 		cfg := jvm.Config{Profile: p, Mutators: 8}
+		tr := evtrace.NewBus()
+		attach(tr)
 		_, err := jvm.Run(jvm.RunSpec{Config: cfg, Seed: 42, BusyLoops: 4, EvTracer: tr})
 		return err
 	}
@@ -33,8 +38,8 @@ func TestKindSubscriptionsMatchCatchAll(t *testing.T) {
 	if !multi.MultiJVM {
 		t.Fatalf("%s is not a multi-JVM cell", multi)
 	}
-	sweep := func(tr *evtrace.Tracer) error {
-		_, err := check.Simulate(multi, 0, tr)
+	sweep := func(attach func(*evtrace.Tracer)) error {
+		_, err := check.Simulate(multi, 0, check.Observers{Attach: attach}, nil)
 		return err
 	}
 
@@ -61,22 +66,26 @@ func TestKindSubscriptionsMatchCatchAll(t *testing.T) {
 	}
 	for _, run := range []struct {
 		name string
-		sim  func(*evtrace.Tracer) error
+		sim  func(attach func(*evtrace.Tracer)) error
 	}{{"fig10", fig10}, {"multi-jvm", sweep}, {"busy-loops", busy}} {
 		for _, c := range consumers {
 			t.Run(run.name+"/"+c.name, func(t *testing.T) {
 				outputs := make([]any, 2)
 				for i, widen := range []bool{false, true} {
-					tr := evtrace.NewBus()
-					out := c.attach(tr)
-					if n := evtrace.SubscribedKinds(tr); n == 0 || !widen && n >= evtrace.NumKinds {
-						t.Fatalf("%s subscribes to %d kinds", c.name, n)
-					}
-					if widen {
-						evtrace.WidenToAllKinds(tr)
-					}
-					if err := run.sim(tr); err != nil {
+					var out func() any
+					kinds := 0
+					err := run.sim(func(tr *evtrace.Tracer) {
+						out = c.attach(tr)
+						kinds = evtrace.SubscribedKinds(tr)
+						if widen {
+							evtrace.WidenToAllKinds(tr)
+						}
+					})
+					if err != nil {
 						t.Fatal(err)
+					}
+					if kinds == 0 || !widen && kinds >= evtrace.NumKinds {
+						t.Fatalf("%s subscribes to %d kinds", c.name, kinds)
 					}
 					outputs[i] = out()
 				}

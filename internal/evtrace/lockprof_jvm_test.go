@@ -26,8 +26,9 @@ func TestLockProfilesMultiJVM(t *testing.T) {
 	tr := evtrace.NewBus()
 	var lp evtrace.LockProfiler
 	lp.Attach(tr)
-	_, err := jvm.RunMultiTraced(42, ostopo.PaperTestbed(), nil, 0,
-		5*60*simkit.Second, tr, cfg, cfg)
+	_, err := jvm.RunJVMs(jvm.RunSpec{
+		Topo: ostopo.PaperTestbed(), Seed: 42, MaxSim: 5 * 60 * simkit.Second, EvTracer: tr,
+	}, cfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

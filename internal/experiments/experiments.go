@@ -22,7 +22,6 @@ import (
 	"repro/internal/evtrace"
 	"repro/internal/gclog"
 	"repro/internal/jvm"
-	"repro/internal/postmortem"
 	"repro/internal/runner"
 	"repro/internal/schedtrace"
 	"repro/internal/simkit"
@@ -47,18 +46,19 @@ type Options struct {
 	Pool *runner.Pool
 	// TraceDir, when non-empty, writes one Perfetto trace-event JSON file
 	// per simulation cell (cell-NNN.json) into this directory (which must
-	// exist). Cells fanned out through runCells are numbered in submission
-	// order, so their indexes are identical for any Jobs value; tracing
-	// only records and never perturbs the rendered tables.
+	// exist). Cells are numbered in submission order, so their indexes are
+	// identical for any Jobs value; tracing only records and never
+	// perturbs the rendered tables. It is the one cell option that keeps
+	// evtrace rings: the others subscribe to a bus that keeps no records.
 	TraceDir string
 	// Timeline, when non-nil, additionally records the scheduling trace of
 	// the requested cell and publishes its result for timeline rendering.
 	Timeline *TimelineCapture
 	// Check, when non-nil, attaches a fresh cross-layer invariant checker
-	// to every cell that runs through the shared plumbing (the same cells
-	// TraceDir covers) and merges each cell's findings into the collector.
-	// Like tracing, checking is record-only: the rendered tables are
-	// byte-identical with or without it.
+	// to every cell, co-running multi-JVM cells included, and merges each
+	// cell's findings into the collector. Like tracing, checking is
+	// record-only: the rendered tables are byte-identical with or without
+	// it.
 	Check *CheckCollector
 	// PostmortemDir, when non-empty, attaches a pause-postmortem analyzer
 	// to every cell and writes its blame decomposition as
@@ -74,12 +74,12 @@ type Options struct {
 
 // TimelineCapture selects one simulation cell (by submission index) whose
 // scheduling timeline should be kept. After the experiment returns, Result
-// holds that cell's run and Recorder its run segments, for rendering with
-// schedtrace.RenderMidGC.
+// holds that cell's run (its first JVM's) and Recorder its run segments,
+// for rendering with schedtrace.RenderMidGC.
 type TimelineCapture struct {
 	Cell     int
 	Result   *jvm.Result
-	Recorder schedtrace.Recorder
+	Recorder *schedtrace.Recorder
 }
 
 // CheckCollector accumulates invariant-checker outcomes across all the
@@ -148,13 +148,9 @@ func (o Options) norm() Options {
 }
 
 // nextCells reserves n consecutive cell indexes and returns the first.
-// Batch reservation happens on the submitting goroutine, so runCells
-// numbering is deterministic; stray run() calls from inside pool workers
-// still get unique (atomically allocated) indexes.
+// Every fan-out reserves its batch on the submitting goroutine, before
+// any of its cells runs, so cell numbering is the same for any Jobs.
 func (o Options) nextCells(n int) int {
-	if o.cellSeq == nil {
-		return -1
-	}
 	return int(atomic.AddInt64(o.cellSeq, int64(n))) - n
 }
 
@@ -211,19 +207,25 @@ func (r *Result) String() string {
 // <id>-<n>.csv under dir.
 func (r *Result) WriteCSV(dir string) error {
 	for i, t := range r.Tables {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%d.csv", r.ID, i)))
-		if err != nil {
-			return err
-		}
-		err = t.RenderCSV(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeFile(filepath.Join(dir, fmt.Sprintf("%s-%d.csv", r.ID, i)), t.RenderCSV); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write, reporting the first of
+// the write and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Experiment couples an identifier with its runner.
@@ -280,30 +282,21 @@ func idList() string {
 
 // --- shared helpers ---------------------------------------------------------
 
-// run executes one JVM configuration; failures panic (experiments are
-// expected to be well-formed; the CLI recovers).
-func run(opt Options, cfg jvm.Config, seedOff int64, busy int) *jvm.Result {
-	return runIndexed(opt, opt.nextCells(1), cfg, seedOff, busy)
-}
-
-// runIndexed executes cell idx of the experiment, attaching the
-// observability hooks the options ask for (see runSpec).
-func runIndexed(opt Options, idx int, cfg jvm.Config, seedOff int64, busy int) *jvm.Result {
+// cellSpec is the machine one JVM configuration runs on as a cell.
+func cellSpec(opt Options, cfg jvm.Config, seedOff int64, busy int) jvm.RunSpec {
 	cfg.Seed = opt.Seed + seedOff
-	spec := jvm.RunSpec{Config: cfg, Seed: opt.Seed + seedOff, BusyLoops: busy}
-	return runSpec(opt, idx, spec)
+	return jvm.RunSpec{Config: cfg, Seed: opt.Seed + seedOff, BusyLoops: busy}
 }
 
-// runSpec executes one prepared RunSpec as cell idx with the options'
-// observability hooks attached: the event tracer (exported as
-// TraceDir/cell-NNN.json), the invariant checker, the postmortem analyzer
-// and the Timeline recorder. All of them subscribe to one bus — the
-// caller's spec.EvTracer when set, else a tracer made here — and all are
-// record-only, so results are unchanged. The cell's machine is built from
-// (and harvested back into) a per-worker scratch held on the pool's
+// runSpec executes cfgs side by side on spec's machine (none runs
+// spec.Config alone) as cell idx, with obs plus the observers the options
+// ask for: the invariant checker, the postmortem analyzer, the Timeline
+// recorder, and rings for the TraceDir/cell-NNN.json export. All of them
+// are record-only, so results are unchanged. The cell's machine is built
+// from (and harvested back into) a per-worker scratch held on the pool's
 // free-list, so a sweep rebuilds its event arenas, runqueues, and heap
 // object tables once per worker instead of once per cell.
-func runSpec(opt Options, idx int, spec jvm.RunSpec) *jvm.Result {
+func runSpec(opt Options, idx int, obs check.Observers, spec jvm.RunSpec, cfgs ...jvm.Config) *check.Observed {
 	sc, _ := opt.Pool.GetScratch().(*jvm.Scratch)
 	if sc == nil {
 		sc = new(jvm.Scratch)
@@ -311,94 +304,47 @@ func runSpec(opt Options, idx int, spec jvm.RunSpec) *jvm.Result {
 	spec.Scratch = sc
 	defer opt.Pool.PutScratch(sc)
 	capture := opt.Timeline != nil && idx == opt.Timeline.Cell
-	tr := spec.EvTracer
-	switch {
-	case tr != nil:
-	case (opt.TraceDir != "" || opt.PostmortemDir != "") && idx >= 0:
-		tr = evtrace.New(evtrace.DefaultSinkCap)
-	case opt.Check != nil || capture:
-		// Every consumer subscribes; nothing reads the rings.
-		tr = evtrace.NewBus()
+	obs.Check = opt.Check != nil
+	obs.Postmortem = opt.PostmortemDir != ""
+	obs.Timeline = capture
+	if opt.TraceDir != "" {
+		obs.Rings = evtrace.DefaultSinkCap
 	}
-	spec.EvTracer = tr
-	var ck *check.Checker
-	if opt.Check != nil {
-		ck = check.New()
-		ck.Attach(tr)
-	}
-	var an *postmortem.Analyzer
-	if opt.PostmortemDir != "" && idx >= 0 {
-		an = postmortem.New()
-		an.Attach(tr)
-	}
-	if capture {
-		opt.Timeline.Recorder.Attach(tr)
-	}
-	r, err := jvm.Run(spec)
+	ob, err := obs.Run(spec, cfgs...)
 	if err != nil {
 		panic(fmt.Sprintf("experiment run failed: %v", err))
 	}
-	if ck != nil {
-		ck.Finish()
-		opt.Check.merge(idx, ck)
+	if ob.Checker != nil {
+		opt.Check.merge(idx, ob.Checker)
 	}
-	if tr != nil && opt.TraceDir != "" && idx >= 0 {
-		if err := writeCellTrace(opt.TraceDir, idx, tr); err != nil {
+	// Cell idx's exports: TraceDir/cell-NNN.json and
+	// PostmortemDir/postmortem-NNN.json describe the same simulation.
+	if opt.TraceDir != "" {
+		path := filepath.Join(opt.TraceDir, fmt.Sprintf("cell-%03d.json", idx))
+		if err := writeFile(path, func(w io.Writer) error { return evtrace.WritePerfetto(w, ob.Tracer) }); err != nil {
 			panic(fmt.Sprintf("experiment trace export failed: %v", err))
 		}
 	}
-	if an != nil {
-		an.Finish()
-		if err := writeCellPostmortem(opt.PostmortemDir, idx, an); err != nil {
+	if ob.Analyzer != nil {
+		path := filepath.Join(opt.PostmortemDir, fmt.Sprintf("postmortem-%03d.json", idx))
+		if err := writeFile(path, func(w io.Writer) error { return gclog.WritePostmortemJSON(w, ob.Analyzer) }); err != nil {
 			panic(fmt.Sprintf("experiment postmortem export failed: %v", err))
 		}
 	}
 	if capture {
-		opt.Timeline.Result = r
+		opt.Timeline.Result, opt.Timeline.Recorder = ob.Results[0], ob.Timeline
 	}
-	return r
+	return ob
 }
 
 // runSpecCells fans prepared RunSpecs out on the pool with the same
-// per-cell numbering and tracing as runCells (for figures that build
+// per-cell numbering and observers as runCells (for figures that build
 // their specs directly, e.g. custom topologies).
 func runSpecCells(opt Options, specs []jvm.RunSpec) []*jvm.Result {
 	base := opt.nextCells(len(specs))
 	return runner.Map(opt.Pool, len(specs), func(i int) *jvm.Result {
-		idx := -1
-		if base >= 0 {
-			idx = base + i
-		}
-		return runSpec(opt, idx, specs[i])
+		return runSpec(opt, base+i, check.Observers{}, specs[i]).Results[0]
 	})
-}
-
-// writeCellTrace exports one cell's events as TraceDir/cell-NNN.json.
-func writeCellTrace(dir string, idx int, tr *evtrace.Tracer) error {
-	f, err := os.Create(filepath.Join(dir, fmt.Sprintf("cell-%03d.json", idx)))
-	if err != nil {
-		return err
-	}
-	err = evtrace.WritePerfetto(f, tr)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeCellPostmortem exports one cell's pause postmortem as
-// PostmortemDir/postmortem-NNN.json (cell numbering shared with
-// writeCellTrace).
-func writeCellPostmortem(dir string, idx int, an *postmortem.Analyzer) error {
-	f, err := os.Create(filepath.Join(dir, fmt.Sprintf("postmortem-%03d.json", idx)))
-	if err != nil {
-		return err
-	}
-	err = gclog.WritePostmortemJSON(f, an)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // GridIndexes enumerates the cross product of axis lengths in row-major
@@ -446,14 +392,11 @@ type cell struct {
 // here, then assemble tables from the index-ordered results; the rendered
 // output is byte-identical to a serial run.
 func runCells(opt Options, cells []cell) []*jvm.Result {
-	base := opt.nextCells(len(cells))
-	return runner.Map(opt.Pool, len(cells), func(i int) *jvm.Result {
-		idx := -1
-		if base >= 0 {
-			idx = base + i
-		}
-		return runIndexed(opt, idx, cells[i].cfg, cells[i].off, cells[i].busy)
-	})
+	specs := make([]jvm.RunSpec, len(cells))
+	for i, c := range cells {
+		specs[i] = cellSpec(opt, c.cfg, c.off, c.busy)
+	}
+	return runSpecCells(opt, specs)
 }
 
 func ms(t simkit.Time) float64 { return t.Millis() }

@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/evtrace"
+	"repro/internal/check"
 	"repro/internal/jvm"
 	"repro/internal/pscavenge"
 	"repro/internal/simkit"
@@ -208,7 +208,7 @@ func joinMax(ss []string, n int) string {
 func Fig4(opt Options) *Result {
 	opt = opt.norm()
 	p := opt.scaled(workload.Lusearch())
-	r := run(opt, jvm.Config{Profile: p, Mutators: 16}, 4000, 0)
+	r := runCells(opt, []cell{{jvm.Config{Profile: p, Mutators: 16}, 4000, 0}})[0]
 	res := &Result{ID: "fig4", Title: "Vanilla lusearch: task and thread load imbalance"}
 	res.Tables = distributionTables(r, "vanilla")
 	res.Notes = append(res.Notes,
@@ -280,10 +280,12 @@ func Fig5(opt Options) *Result {
 	p := opt.scaled(workload.Lusearch())
 	const seedOff = 5000
 	cfg := jvm.Config{Profile: p, Mutators: 16, Seed: opt.Seed + seedOff}
-	tr := evtrace.New(evtrace.DefaultSinkCap)
-	acqs := &evtrace.AcquisitionLog{Lock: "GCTaskManager"}
-	acqs.Attach(tr)
-	r := runSpec(opt, opt.nextCells(1), jvm.RunSpec{Config: cfg, Seed: cfg.Seed, EvTracer: tr})
+	var ob *check.Observed
+	opt.Pool.Do(func() { // one pool task, counted like every other cell
+		ob = runSpec(opt, opt.nextCells(1), check.Observers{AcquisitionLog: "GCTaskManager"},
+			jvm.RunSpec{Config: cfg, Seed: cfg.Seed})
+	})
+	r, acqs := ob.Results[0], ob.Acquisitions
 	res := &Result{ID: "fig5", Title: "GCTaskManager lock acquisitions during a stacked GC (§3.2)"}
 
 	// Pick a representative mid-run minor GC window.

@@ -5,6 +5,7 @@ package experiments
 
 import (
 	"repro/internal/affinity"
+	"repro/internal/check"
 	"repro/internal/jmutex"
 	"repro/internal/jvm"
 	"repro/internal/ostopo"
@@ -20,7 +21,7 @@ import (
 func Fig8(opt Options) *Result {
 	opt = opt.norm()
 	p := opt.scaled(workload.Lusearch())
-	r := run(opt, jvm.Config{Profile: p, Mutators: 16}.WithAffinityOnly(), 8000, 0)
+	r := runCells(opt, []cell{{jvm.Config{Profile: p, Mutators: 16}.WithAffinityOnly(), 8000, 0}})[0]
 	res := &Result{ID: "fig8", Title: "Optimized lusearch: improved thread and task balance"}
 	res.Tables = distributionTables(r, "optimized")
 	res.Notes = append(res.Notes,
@@ -342,28 +343,26 @@ func Fig15(opt Options) *Result {
 	lus := opt.scaled(workload.Lusearch())
 	sun := opt.scaled(workload.Sunflow())
 
-	// Each scenario half (vanilla or optimized) is an independent
-	// simulation, so the six halves fan out as one batch: two single-JVM
-	// runs with busy loops and four co-running RunMulti pairs.
+	// Each scenario half (vanilla or optimized) is an independent cell,
+	// so the six halves fan out as one batch: two single-JVM runs with
+	// busy loops and four co-running pairs, numbered here, on the
+	// submitting goroutine.
 	type tg struct{ total, gc simkit.Time }
-	busyLoop := func(cfg jvm.Config, off int64) func() tg {
-		return func() tg {
-			r := run(opt, cfg, off, 10)
+	busyLoop := func(cfg jvm.Config, off int64) func(int) tg {
+		return func(idx int) tg {
+			r := runSpec(opt, idx, check.Observers{}, cellSpec(opt, cfg, off, 10)).Results[0]
 			return tg{r.TotalTime, r.GCTime}
 		}
 	}
-	coRun := func(p workload.Profile, seedOff int64, optimized bool) func() tg {
-		return func() tg {
+	coRun := func(p workload.Profile, seedOff int64, optimized bool) func(int) tg {
+		return func(idx int) tg {
 			cfgA := jvm.Config{Profile: p, Mutators: 16}
 			cfgB := jvm.Config{Profile: p, Mutators: 16, SpawnCore: 10}
 			if optimized {
 				cfgA = cfgA.WithOptimizations()
 				cfgB = cfgB.WithOptimizations()
 			}
-			rs, err := jvm.RunMulti(opt.Seed+seedOff, nil, nil, 0, 0, cfgA, cfgB)
-			if err != nil {
-				panic(err)
-			}
+			rs := runSpec(opt, idx, check.Observers{}, jvm.RunSpec{Seed: opt.Seed + seedOff}, cfgA, cfgB).Results
 			var slowest, gcSum simkit.Time
 			for _, r := range rs {
 				if r.TotalTime > slowest {
@@ -374,13 +373,14 @@ func Fig15(opt Options) *Result {
 			return tg{slowest, gcSum / simkit.Time(len(rs))}
 		}
 	}
-	tasks := []func() tg{
+	tasks := []func(int) tg{
 		busyLoop(jvm.Config{Profile: lus, Mutators: 16}, 16000),
 		busyLoop(jvm.Config{Profile: lus, Mutators: 16}.WithOptimizations(), 16001),
 		coRun(lus, 16100, false), coRun(lus, 16100, true),
 		coRun(sun, 16200, false), coRun(sun, 16200, true),
 	}
-	rs := runner.Map(opt.Pool, len(tasks), func(i int) tg { return tasks[i]() })
+	base := opt.nextCells(len(tasks))
+	rs := runner.Map(opt.Pool, len(tasks), func(i int) tg { return tasks[i](base + i) })
 	addRows := func(name string, v, o tg) {
 		total.AddRow(name, ms(v.total), ms(o.total), stats.Ratio(ms(o.total), ms(v.total)))
 		gc.AddRow(name, ms(v.gc), ms(o.gc), stats.Ratio(ms(o.gc), ms(v.gc)))

@@ -28,7 +28,7 @@ func renderAll(t *testing.T, opt Options, ids []string) string {
 
 // quickParallelIDs covers every fan-out shape in the suite: interleaved
 // cell batches (fig9), multi-table batches (fig10), nested sweeps (fig12),
-// mixed single/RunMulti closures (fig15), custom-topology RunSpecs
+// mixed single- and multi-JVM cells (fig15), custom-topology RunSpecs
 // (fig16), and a policy ablation (abl2).
 var quickParallelIDs = []string{"fig9", "fig10", "fig12", "fig15", "fig16", "abl2"}
 
@@ -146,9 +146,10 @@ func TestGoldenScale4TracingEnabled(t *testing.T) {
 // TestGoldenScale4CheckEnabled asserts the correctness-harness contract:
 // the full scale-4 evaluation with the cross-layer invariant checker
 // attached to every cell renders byte-identically to the committed golden
-// fixture — checking only observes, it never perturbs a run — and the
-// checker stays silent across the entire evaluation. Skipped under -short
-// and -race like the other golden checks.
+// fixture — checking only observes, it never perturbs a run — the checker
+// stays silent across the entire evaluation, and it checked every cell
+// the evaluation numbered. Skipped under -short and -race like the other
+// golden checks.
 func TestGoldenScale4CheckEnabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite invariant check skipped in -short mode")
@@ -161,9 +162,13 @@ func TestGoldenScale4CheckEnabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	cc := &CheckCollector{}
+	cells := new(int64) // one cell numbering across the evaluation
 	var b strings.Builder
 	for _, e := range All() {
-		e.Run(Options{Seed: 42, Scale: 4, Jobs: 4, Check: cc}).Render(&b)
+		e.Run(Options{Seed: 42, Scale: 4, Jobs: 4, Check: cc, cellSeq: cells}).Render(&b)
+	}
+	if cc.cells != int(*cells) {
+		t.Errorf("checker covered %d cells of the %d the evaluation ran", cc.cells, *cells)
 	}
 	if cc.Total() > 0 {
 		t.Errorf("invariant violations on the scale-4 evaluation:\n%s", cc.Report())
@@ -174,6 +179,32 @@ func TestGoldenScale4CheckEnabled(t *testing.T) {
 	if b.String() != string(golden) {
 		t.Fatalf("scale-4 render with checking enabled differs from golden fixture:\n%s",
 			firstDiff(string(golden), b.String()))
+	}
+}
+
+// TestFig15ObservesCoRunCells: all six of Fig15's cells — two single-JVM
+// runs with busy loops and the four co-running pairs behind §5.7 — run
+// under the invariant checker and write a pause postmortem, numbered in
+// submission order.
+func TestFig15ObservesCoRunCells(t *testing.T) {
+	dir := t.TempDir()
+	cc := &CheckCollector{}
+	Fig15(Options{Seed: 42, Scale: 4, Jobs: 2, Check: cc, PostmortemDir: dir})
+	if cc.cells != 6 || cc.Total() != 0 {
+		t.Errorf("fig15: %s want 6 clean cells", cc.Report())
+	}
+	for i := 0; i < 6; i++ {
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("postmortem-%03d.json", i)))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		ex, err := postmortem.ParseJSON(data)
+		if err != nil {
+			t.Errorf("postmortem-%03d.json: %v", i, err)
+		} else if ex.Collections == 0 || len(ex.Verify()) != 0 {
+			t.Errorf("postmortem-%03d.json: %d collections, sum violations %v", i, ex.Collections, ex.Verify())
+		}
 	}
 }
 

@@ -224,7 +224,7 @@ func TestMultiJVMCoRun(t *testing.T) {
 	p := shrink(workload.Lusearch(), 8)
 	cfgA := Config{Profile: p, Mutators: 16, Seed: 12}
 	cfgB := Config{Profile: p, Mutators: 16, Seed: 13, SpawnCore: 10}
-	results, err := RunMulti(12, nil, nil, 0, 0, cfgA, cfgB)
+	results, err := RunJVMs(RunSpec{Seed: 12}, cfgA, cfgB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,34 +30,19 @@ type Machine struct {
 	scratch *Scratch // pooled backing arrays; harvested back by Close
 }
 
-// SetEvTracer installs the structured event-bus tracer on both the
-// simulation kernel and the scheduler. Call before AddBusyLoops/AddJVM so
-// spawned threads register their names with the trace.
-func (m *Machine) SetEvTracer(t *evtrace.Tracer) {
-	m.Sim.SetTracer(t)
-	m.K.SetEvTracer(t)
-}
-
 // NewMachine creates a machine. params may be nil for defaults.
 func NewMachine(seed int64, topo *ostopo.Topology, params *cfs.Params) *Machine {
-	return NewMachineTraced(seed, topo, params, nil)
+	return NewMachineScratch(seed, topo, params, nil, nil)
 }
 
-// NewMachineTraced creates a machine with the event tracer installed
-// before the kernel is constructed, so even the kernel's own setup work
-// (arming the periodic balance timers) lands on the bus. Stream-complete
-// consumers — internal/check's simkit conservation law counts every
-// schedule against later fires and cancels — need this; installing the
-// tracer after construction (SetEvTracer) would silently miss those
-// events. tr may be nil (tracing disabled).
-func NewMachineTraced(seed int64, topo *ostopo.Topology, params *cfs.Params, tr *evtrace.Tracer) *Machine {
-	return NewMachineScratch(seed, topo, params, tr, nil)
-}
-
-// NewMachineScratch is NewMachineTraced building the simulator and kernel
-// from pooled scratch storage (nil runs cold). The machine owns sc until
-// Close, which harvests the backing arrays back into it; see Scratch for
-// the reuse contract.
+// NewMachineScratch creates a machine with the event tracer tr (nil
+// disables tracing) installed before the kernel is constructed, so even
+// the kernel's own setup work (arming the periodic balance timers) lands
+// on the bus: internal/check's simkit conservation law counts every
+// schedule against later fires and cancels. It builds the simulator and
+// kernel from pooled scratch storage sc (nil runs cold); the machine owns
+// sc until Close, which harvests the backing arrays back into it; see
+// Scratch for the reuse contract.
 func NewMachineScratch(seed int64, topo *ostopo.Topology, params *cfs.Params, tr *evtrace.Tracer, sc *Scratch) *Machine {
 	p := cfs.DefaultParams()
 	if params != nil {

@@ -84,16 +84,11 @@ func RunJVMs(spec RunSpec, cfgs ...Config) ([]*Result, error) {
 	return out, nil
 }
 
-// RunMulti executes several JVMs sharing one machine (§5.7) and returns
-// their results in order.
-func RunMulti(seed int64, topo *ostopo.Topology, sched *cfs.Params, busyLoops int, maxSim simkit.Time, cfgs ...Config) ([]*Result, error) {
-	return RunMultiTraced(seed, topo, sched, busyLoops, maxSim, nil, cfgs...)
-}
-
-// RunMultiTraced is RunMulti with a shared event-bus tracer attached from
-// machine construction on (nil disables tracing). Each JVM's monitors and
-// task ids are namespaced by its instance, so one bus carries all of them
-// unambiguously.
+// RunMultiTraced runs cfgs side by side on one machine with tr attached
+// from machine construction on (nil disables tracing).
+//
+// Deprecated: use RunJVMs, or check.Observers.Run for an observed run.
+// It is kept for the benchmark harness, which still calls it.
 func RunMultiTraced(seed int64, topo *ostopo.Topology, sched *cfs.Params, busyLoops int, maxSim simkit.Time, tr *evtrace.Tracer, cfgs ...Config) ([]*Result, error) {
 	return RunJVMs(RunSpec{
 		Topo: topo, Sched: sched, Seed: seed,

@@ -75,7 +75,7 @@ func TestTimelineFixtures(t *testing.T) {
 		var b bytes.Buffer
 		res.Render(&b)
 		title := fmt.Sprintf("timeline: fig6 cell %d (%s)", tc.Cell, tc.Result.Benchmark)
-		if err := schedtrace.RenderMidGC(&b, &tc.Recorder, tc.Result.NumCPUs, tc.Result.Reports, title); err != nil {
+		if err := schedtrace.RenderMidGC(&b, tc.Recorder, tc.Result.NumCPUs, tc.Result.Reports, title); err != nil {
 			t.Fatal(err)
 		}
 		if got := b.Bytes(); !bytes.Equal(got, want) {

@@ -1,4 +1,4 @@
-package schedtrace
+package schedtrace_test
 
 import (
 	"strings"
@@ -8,6 +8,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/evtrace"
 	"repro/internal/ostopo"
+	"repro/internal/schedtrace"
 	"repro/internal/simkit"
 )
 
@@ -17,20 +18,20 @@ const ms = simkit.Millisecond
 // invariant checker; the test fails at cleanup if the checker saw any
 // violation (the scheduler-trace invariants: one thread per core, each
 // dispatch span covering exactly its stint).
-func tracedKernel(t *testing.T, cores int) (*simkit.Sim, *cfs.Kernel, *Recorder) {
+func tracedKernel(t *testing.T, cores int) (*simkit.Sim, *cfs.Kernel, *schedtrace.Recorder) {
 	t.Helper()
 	sim := simkit.New(1)
 	t.Cleanup(sim.Close)
 	return traced(t, sim, &ostopo.Topology{PhysCores: cores, SMTWays: 1, Nodes: 1})
 }
 
-func traced(t *testing.T, sim *simkit.Sim, topo *ostopo.Topology) (*simkit.Sim, *cfs.Kernel, *Recorder) {
+func traced(t *testing.T, sim *simkit.Sim, topo *ostopo.Topology) (*simkit.Sim, *cfs.Kernel, *schedtrace.Recorder) {
 	t.Helper()
 	tr := evtrace.New(1)
 	sim.SetTracer(tr)
 	k := cfs.NewKernel(sim, topo, cfs.DefaultParams())
 	k.SetEvTracer(tr)
-	rec := new(Recorder)
+	rec := new(schedtrace.Recorder)
 	rec.Attach(tr)
 	ck := check.New()
 	ck.Attach(tr)
@@ -44,7 +45,7 @@ func traced(t *testing.T, sim *simkit.Sim, topo *ostopo.Topology) (*simkit.Sim, 
 }
 
 // busy sums the recorded run time of thread tid.
-func busy(segs []Segment, tid int32) simkit.Time {
+func busy(segs []schedtrace.Segment, tid int32) simkit.Time {
 	var sum simkit.Time
 	for _, s := range segs {
 		if s.TID == tid {
@@ -57,9 +58,9 @@ func busy(segs []Segment, tid int32) simkit.Time {
 // forged feeds raw segments through a real tracer as the cfs events that
 // delimit them: a dispatch pop at Start and, unless End is -1 (still
 // open), the KDispatch span ending at End.
-func forged(segs ...Segment) *Recorder {
+func forged(segs ...schedtrace.Segment) *schedtrace.Recorder {
 	tr := evtrace.New(1)
-	rec := new(Recorder)
+	rec := new(schedtrace.Recorder)
 	rec.Attach(tr)
 	for _, s := range segs {
 		tr.Emit(evtrace.Event{Kind: evtrace.KRunqPop, At: int64(s.Start), Core: s.Core, TID: s.TID, Name: s.Name})
@@ -79,7 +80,7 @@ func TestClassify(t *testing.T) {
 		"whatever":       'o',
 	}
 	for name, want := range cases {
-		if got := Classify(name); got != want {
+		if got := schedtrace.Classify(name); got != want {
 			t.Errorf("Classify(%q) = %c, want %c", name, got, want)
 		}
 	}
@@ -146,7 +147,7 @@ func TestRecorderMatchesDispatchSpans(t *testing.T) {
 	sim.SetTracer(tr)
 	k := cfs.NewKernel(sim, &ostopo.Topology{PhysCores: 3, SMTWays: 1, Nodes: 1}, cfs.DefaultParams())
 	k.SetEvTracer(tr)
-	var rec Recorder
+	var rec schedtrace.Recorder
 	rec.Attach(tr)
 	for i := 0; i < 6; i++ {
 		k.Spawn("mutator#x", ostopo.CoreID(i%2), func(e *cfs.Env) {
@@ -222,7 +223,7 @@ func TestRenderTimeline(t *testing.T) {
 	for th.State() != cfs.StateDone && sim.Step() {
 	}
 	var b strings.Builder
-	Render(&b, rec, 3, 0, 10*ms, Options{Width: 20, Legend: true})
+	schedtrace.Render(&b, rec, 3, 0, 10*ms, schedtrace.Options{Width: 20, Legend: true})
 	out := b.String()
 	if !strings.Contains(out, "cpu01 |GGGGGGGGGGGGGGGGGGGG|") {
 		t.Errorf("cpu01 row should be all G:\n%s", out)
@@ -240,12 +241,12 @@ func TestRenderTimeline(t *testing.T) {
 // render (a map-ordered pick printed either class).
 func TestRenderTieBreakIsFixed(t *testing.T) {
 	rec := forged(
-		Segment{Core: 0, Name: "mutator#0", Start: 5, End: 10},
-		Segment{Core: 0, Name: "GCTaskThread#0", Start: 0, End: 5},
+		schedtrace.Segment{Core: 0, Name: "mutator#0", Start: 5, End: 10},
+		schedtrace.Segment{Core: 0, Name: "GCTaskThread#0", Start: 0, End: 5},
 	)
 	for i := 0; i < 200; i++ {
 		var b strings.Builder
-		Render(&b, rec, 1, 0, 10, Options{Width: 1})
+		schedtrace.Render(&b, rec, 1, 0, 10, schedtrace.Options{Width: 1})
 		if !strings.Contains(b.String(), "cpu00 |G|") {
 			t.Fatalf("render %d: tie between G and M not drawn as G:\n%s", i, b.String())
 		}
@@ -254,7 +255,7 @@ func TestRenderTieBreakIsFixed(t *testing.T) {
 
 func TestRenderEmptyWindow(t *testing.T) {
 	var b strings.Builder
-	Render(&b, new(Recorder), 2, 10, 10, Options{})
+	schedtrace.Render(&b, new(schedtrace.Recorder), 2, 10, 10, schedtrace.Options{})
 	if !strings.Contains(b.String(), "empty trace window") {
 		t.Error("empty window not reported")
 	}
@@ -281,16 +282,16 @@ func TestWindowFiltering(t *testing.T) {
 
 func TestWindowClipsToBounds(t *testing.T) {
 	rec := forged(
-		Segment{Core: 0, Start: 0, End: 10},  // straddles the left edge
-		Segment{Core: 0, Start: 10, End: 20}, // straddles the right edge
-		Segment{Core: 1, Start: 12, End: 14}, // fully inside
-		Segment{Core: 2, Start: 20, End: 30}, // fully after
-		Segment{Core: 3, Start: 0, End: 8},   // fully before
-		Segment{Core: 4, Start: 15, End: -1}, // still open
-		Segment{Core: 5, Start: 4, End: -1},  // open, starts before the window
+		schedtrace.Segment{Core: 0, Start: 0, End: 10},  // straddles the left edge
+		schedtrace.Segment{Core: 0, Start: 10, End: 20}, // straddles the right edge
+		schedtrace.Segment{Core: 1, Start: 12, End: 14}, // fully inside
+		schedtrace.Segment{Core: 2, Start: 20, End: 30}, // fully after
+		schedtrace.Segment{Core: 3, Start: 0, End: 8},   // fully before
+		schedtrace.Segment{Core: 4, Start: 15, End: -1}, // still open
+		schedtrace.Segment{Core: 5, Start: 4, End: -1},  // open, starts before the window
 	)
 	got := rec.Window(8, 18)
-	want := []Segment{
+	want := []schedtrace.Segment{
 		{Core: 0, Start: 8, End: 10},
 		{Core: 0, Start: 10, End: 18},
 		{Core: 1, Start: 12, End: 14},
@@ -313,7 +314,7 @@ func TestWindowClipsToBounds(t *testing.T) {
 }
 
 func TestWindowDegenerate(t *testing.T) {
-	rec := forged(Segment{Core: 0, Start: 0, End: 10})
+	rec := forged(schedtrace.Segment{Core: 0, Start: 0, End: 10})
 	if got := rec.Window(5, 5); got != nil {
 		t.Errorf("zero-length window returned %+v, want nil", got)
 	}
@@ -321,18 +322,18 @@ func TestWindowDegenerate(t *testing.T) {
 		t.Errorf("inverted window returned %+v, want nil", got)
 	}
 	// A zero-length segment clips away entirely.
-	rec = forged(Segment{Core: 0, Start: 4, End: 4})
+	rec = forged(schedtrace.Segment{Core: 0, Start: 4, End: 4})
 	if got := rec.Window(0, 10); got != nil {
 		t.Errorf("zero-length segment survived clipping: %+v", got)
 	}
 	// An open segment starting exactly at the right edge is excluded
 	// ([from, to) is half-open).
-	rec = forged(Segment{Core: 0, Start: 10, End: -1})
+	rec = forged(schedtrace.Segment{Core: 0, Start: 10, End: -1})
 	if got := rec.Window(0, 10); got != nil {
 		t.Errorf("segment at the window edge survived: %+v", got)
 	}
 	// Empty recording.
-	if got := new(Recorder).Window(0, 10); got != nil {
+	if got := new(schedtrace.Recorder).Window(0, 10); got != nil {
 		t.Errorf("empty recording returned %+v, want nil", got)
 	}
 }
@@ -342,7 +343,7 @@ func TestWindowDegenerate(t *testing.T) {
 // event extends it, and repeated reads do not double-count.
 func TestBusyTimeCountsClosedOnce(t *testing.T) {
 	tr := evtrace.New(1)
-	var rec Recorder
+	var rec schedtrace.Recorder
 	rec.Attach(tr)
 	tr.Emit(evtrace.Event{Kind: evtrace.KRunqPop, At: 0, Core: 0, TID: 7})
 	tr.Emit(evtrace.Event{Kind: evtrace.KDispatch, At: 0, Dur: 10, Core: 0, TID: 7})
@@ -447,7 +448,7 @@ func TestRenderDegenerateWidths(t *testing.T) {
 	// Window shorter than the width: the bucket size clamps to 1 time
 	// unit, so only the first len(window) columns can be non-idle.
 	var b strings.Builder
-	Render(&b, rec, 1, 0, 5, Options{Width: 20})
+	schedtrace.Render(&b, rec, 1, 0, 5, schedtrace.Options{Width: 20})
 	out := b.String()
 	if !strings.Contains(out, "cpu00 |GGGGG") {
 		t.Errorf("sub-width window misrendered:\n%s", out)
@@ -458,7 +459,7 @@ func TestRenderDegenerateWidths(t *testing.T) {
 
 	// Width 1: the whole window is a single bucket.
 	b.Reset()
-	Render(&b, rec, 1, 0, 10, Options{Width: 1})
+	schedtrace.Render(&b, rec, 1, 0, 10, schedtrace.Options{Width: 1})
 	if !strings.Contains(b.String(), "cpu00 |G|") {
 		t.Errorf("width-1 render wrong:\n%s", b.String())
 	}
@@ -468,7 +469,7 @@ func TestRenderSingleCoreAndEmptyTrace(t *testing.T) {
 	// A valid window over a recording with no segments renders all-idle
 	// rows rather than reporting an empty window.
 	var b strings.Builder
-	Render(&b, new(Recorder), 1, 0, 10*ms, Options{Width: 10})
+	schedtrace.Render(&b, new(schedtrace.Recorder), 1, 0, 10*ms, schedtrace.Options{Width: 10})
 	out := b.String()
 	if !strings.Contains(out, "cpu00 |----------|") {
 		t.Errorf("empty trace should render an idle row:\n%s", out)
@@ -482,7 +483,7 @@ func TestRenderSingleCoreAndEmptyTrace(t *testing.T) {
 
 	// Inverted windows are reported, not rendered.
 	b.Reset()
-	Render(&b, new(Recorder), 1, 10, 0, Options{})
+	schedtrace.Render(&b, new(schedtrace.Recorder), 1, 10, 0, schedtrace.Options{})
 	if !strings.Contains(b.String(), "empty trace window") {
 		t.Error("inverted window not reported")
 	}

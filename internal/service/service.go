@@ -11,10 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/evtrace"
 	"repro/internal/jvm"
-	"repro/internal/postmortem"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -268,10 +268,10 @@ func (s *Service) work() {
 	}
 }
 
-// simulate executes one run spec. A package variable so tests can inject
-// simulation failures (panics included) without building a pathological
-// scenario.
-var simulate = jvm.Run
+// simulate executes one run spec with the pause-postmortem analyzer
+// watching. A package variable so tests can inject simulation failures
+// (panics included) without building a pathological scenario.
+var simulate = check.Observers{Postmortem: true}.Run
 
 // runJob simulates one admitted scenario on a pool worker, publishes the
 // marshaled response into the cache, and releases every waiter.
@@ -313,17 +313,12 @@ func (s *Service) runJob(j *job) {
 // bus (one that keeps no records — the subscriber sees the whole stream)
 // and never perturbs the run, so the body stays deterministic per digest.
 func computeBody(digest string, spec jvm.RunSpec) ([]byte, error) {
-	tr := evtrace.NewBus()
-	spec.EvTracer = tr
-	an := postmortem.New()
-	an.Attach(tr)
-	res, err := simulate(spec)
+	ob, err := simulate(spec)
 	if err != nil {
 		return nil, err
 	}
-	an.Finish()
-	p := predict(digest, res)
-	p.Blame = blameOf(an)
+	p := predict(digest, ob.Results[0])
+	p.Blame = blameOf(ob.Analyzer)
 	return json.Marshal(p)
 }
 
@@ -372,8 +367,11 @@ func (s *Service) registry() *evtrace.Registry {
 	reg.Counter("service.cache_entries").Set(int64(s.cache.Len()))
 	reg.Counter("service.workers").Set(int64(s.pool.Workers()))
 
+	// queue_depth counts the jobs admitted but not yet finished, queued
+	// and simulating alike: each sits in inflight exactly once, so the
+	// gauge reads against Options.QueueCap.
 	s.mu.Lock()
-	depth := len(s.queue) + len(s.inflight)
+	depth := len(s.inflight)
 	s.mu.Unlock()
 	reg.Gauge("service.queue_depth").Set(float64(depth))
 

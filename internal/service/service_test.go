@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/jvm"
 )
 
@@ -420,7 +421,7 @@ func TestServiceSeedZeroDistinct(t *testing.T) {
 func TestPanickedSimulationReturnsScratch(t *testing.T) {
 	old := simulate
 	t.Cleanup(func() { simulate = old })
-	simulate = func(jvm.RunSpec) (*jvm.Result, error) { panic("injected simulation panic") }
+	simulate = func(jvm.RunSpec, ...jvm.Config) (*check.Observed, error) { panic("injected simulation panic") }
 
 	s := newTestService(t, Options{Workers: 1})
 	_, _, err := s.Run(context.Background(), tinyScenario())

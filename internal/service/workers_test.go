@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/jvm"
 )
@@ -41,14 +42,14 @@ func newGatedService(t *testing.T, opts Options, panicFirst int32) (*Service, *g
 	var n atomic.Int32
 	old := simulate
 	t.Cleanup(func() { simulate = old })
-	simulate = func(spec jvm.RunSpec) (*jvm.Result, error) {
+	simulate = func(spec jvm.RunSpec, cfgs ...jvm.Config) (*check.Observed, error) {
 		k := n.Add(1)
 		g.started <- struct{}{}
 		<-g.proceed
 		if k <= panicFirst {
 			panic(fmt.Sprintf("injected panic in simulation %d", k))
 		}
-		return old(spec)
+		return old(spec, cfgs...)
 	}
 	s := newTestService(t, opts)
 	srv := httptest.NewServer(s.Handler())
@@ -237,4 +238,35 @@ func TestPanicKeepsBothWorkers(t *testing.T) {
 	g.release(2)
 	wantCold(t, "C", <-c)
 	wantCold(t, "D", <-d)
+}
+
+// service.queue_depth counts each admitted, unfinished job once: with both
+// workers held and six jobs admitted (four of them queued) it reads 6,
+// the figure Options.QueueCap bounds. Queued jobs sit both in the queue
+// and in the in-flight table, and summing the two read 10.
+func TestQueueDepthCountsAdmittedJobsOnce(t *testing.T) {
+	s, g, _ := newGatedService(t, Options{Workers: 2, QueueCap: 8}, 0)
+	for i := 0; i < 6; i++ {
+		cfg, err := seeded(int64(i + 1)).Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := core.BuildRunSpec(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.admit(cfg.Digest(), spec); err != nil {
+			t.Fatalf("admit job %d: %v", i, err)
+		}
+	}
+	g.awaitStarts(t, 2) // both workers held; four jobs wait in the queue
+	depth := -1.0
+	for _, m := range s.Metrics() {
+		if m.Name == "service.queue_depth" {
+			depth = m.Value
+		}
+	}
+	if depth != 6 {
+		t.Errorf("service.queue_depth = %v, want 6 (2 simulating + 4 queued)", depth)
+	}
 }
