@@ -191,17 +191,25 @@ serve-smoke:
 
 # Observability smoke test: a small traced gcsim run must export a
 # Perfetto file containing events from all five instrumented layers
-# (tracecheck exits non-zero otherwise), and the full scale-4 evaluation
-# with tracing enabled must still match the committed golden fixture.
-# Then the scheduling timeline, a bus subscriber: one gcsim -timeline run,
-# and the committed timeline fixtures must render byte-identically.
+# (tracecheck exits non-zero otherwise) and write its metrics as text and
+# as -gcjson, and the full scale-4 evaluation with tracing enabled must
+# still match the committed golden fixture. Then the scheduling timeline,
+# a bus subscriber: one gcsim -timeline run; a -timeline -check run that
+# must go on past the timeline to print the checker's verdict (and exit 0
+# only on a clean check); and the committed timeline fixtures must render
+# byte-identically.
 TRACE_SMOKE_OUT ?= /tmp/gcsim-trace-smoke.json
+TRACE_SMOKE_GCJSON ?= /tmp/gcsim-trace-smoke-run.json
 trace-smoke:
 	$(GO) run ./cmd/gcsim -bench lusearch -mutators 8 -gcthreads 4 \
-		-evtrace $(TRACE_SMOKE_OUT) -lockprofile -metrics
+		-evtrace $(TRACE_SMOKE_OUT) -lockprofile -metrics -gcjson $(TRACE_SMOKE_GCJSON)
 	$(GO) run ./cmd/tracecheck $(TRACE_SMOKE_OUT)
 	$(GO) test -run 'TestGoldenScale4TracingEnabled' ./internal/experiments/
 	$(GO) run ./cmd/gcsim -bench lusearch -timeline
+	@out=$$($(GO) run ./cmd/gcsim -bench lusearch -mutators 8 -gcthreads 4 -timeline -check) || \
+		{ echo "$$out"; echo "trace-smoke: gcsim -timeline -check failed"; exit 1; }; \
+		echo "$$out" | grep '^check:' || \
+		{ echo "trace-smoke: gcsim -timeline -check printed no check: verdict"; exit 1; }
 	$(GO) test -run 'TestTimelineFixtures' ./internal/schedtrace/
 
 # Pause-postmortem smoke test: run a reduced checked cell with blame

@@ -7,11 +7,17 @@
 //	gcsim -bench lusearch -mutators 16 -opt all
 //	gcsim -bench cassandra -clients 256 -requests 20000 -compare
 //	gcsim -list
+//
+// -compare (and -runs, which averages compared runs) prints only the
+// comparison; the single-run flags (-opt, -check, -metrics, -gcjson,
+// -timeline, -evtrace, -lockprofile, -postmortem*) are usage errors with
+// it, as is -runs without -compare.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/check"
@@ -24,11 +30,12 @@ import (
 )
 
 func main() {
-	os.Exit(realMain(os.Args[1:]))
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain(argv []string) int {
+func realMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("gcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		bench    = fs.String("bench", "lusearch", "benchmark name (see -list)")
 		list     = fs.Bool("list", false, "list available benchmarks and exit")
@@ -60,6 +67,43 @@ func realMain(argv []string) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	usage := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "gcsim: "+format+"\n", args...)
+		return 2
+	}
+	// A flag the chosen mode would not honour is a usage error naming it,
+	// never a silent no-op.
+	singleRun := []struct {
+		name string
+		set  bool
+	}{
+		{"opt", *opt != "none"},
+		{"check", *checkF},
+		{"metrics", *metricsF},
+		{"gcjson", *gcjson != ""},
+		{"timeline", *timeline},
+		{"evtrace", *evtraceOut != ""},
+		{"lockprofile", *lockprof},
+		{"postmortem", *postmortemF},
+		{"postmortem-json", *postmortemJSON != ""},
+		{"postmortem-trace", *postmortemWin != ""},
+	}
+	if *compare {
+		for _, f := range singleRun {
+			if f.set {
+				return usage("-%s applies to a single run; it cannot be combined with -compare", f.name)
+			}
+		}
+		if *runs > 1 && *gclogF {
+			return usage("-gclog cannot be combined with -runs > 1")
+		}
+	}
+	if *runs < 1 {
+		return usage("-runs %d: want at least 1", *runs)
+	}
+	if *runs > 1 && !*compare {
+		return usage("-runs %d averages -compare runs; it needs -compare", *runs)
+	}
 
 	// Every file output registers here, and every exit path funnels
 	// through exit/fail, so buffered artifacts are flushed and closed no
@@ -75,7 +119,7 @@ func realMain(argv []string) int {
 	}
 	exit := func(code int) int { return cmdutil.Exit(code, outs...) }
 	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "gcsim:", err)
+		fmt.Fprintln(stderr, "gcsim:", err)
 		return exit(1)
 	}
 
@@ -88,7 +132,7 @@ func realMain(argv []string) int {
 			}
 			tab.AddRow(b.Name, b.Suite, b.HeapMB, class)
 		}
-		tab.Render(os.Stdout)
+		tab.Render(stdout)
 		return 0
 	}
 
@@ -98,8 +142,7 @@ func realMain(argv []string) int {
 	}
 	level, ok := levels[*opt]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "gcsim: unknown -opt %q (none|affinity|steal|all)\n", *opt)
-		return 2
+		return usage("unknown -opt %q (none|affinity|steal|all)", *opt)
 	}
 
 	cfg := core.Config{
@@ -109,9 +152,9 @@ func realMain(argv []string) int {
 		BusyLoops: *busy, SMT: *smt, Seed: *seed,
 	}
 
-	if *compare && !*timeline {
+	if *compare {
 		if *runs > 1 {
-			if err := compareRuns(cfg, *runs); err != nil {
+			if err := compareRuns(stdout, cfg, *runs); err != nil {
 				return fail(err)
 			}
 			return 0
@@ -120,9 +163,9 @@ func realMain(argv []string) int {
 		if err != nil {
 			return fail(err)
 		}
-		report("vanilla", van, *gclogF)
-		report("optimized", optres, *gclogF)
-		fmt.Printf("improvement: total %.1f%%, GC %.1f%%\n",
+		report(stdout, "vanilla", van, *gclogF)
+		report(stdout, "optimized", optres, *gclogF)
+		fmt.Fprintf(stdout, "improvement: total %.1f%%, GC %.1f%%\n",
 			100*stats.Improvement(float64(van.TotalTime), float64(optres.TotalTime)),
 			100*stats.Improvement(float64(van.GCTime), float64(optres.GCTime)))
 		return 0
@@ -133,9 +176,9 @@ func realMain(argv []string) int {
 		return fail(err)
 	}
 	// Observability hooks: the event bus feeds the Perfetto export, the
-	// lock profiler, the checker, the postmortem analyzer and the timeline;
-	// the registry feeds -metrics and -gcjson. Only the two trace exports
-	// read the rings, so without them the bus keeps no records.
+	// lock profiler, the checker, the postmortem analyzer and the timeline.
+	// Only the two trace exports read the rings, so without them the bus
+	// keeps no records.
 	obs := check.Observers{
 		Check:       *checkF,
 		Postmortem:  *postmortemF || *postmortemJSON != "" || *postmortemWin != "",
@@ -148,11 +191,6 @@ func realMain(argv []string) int {
 			obs.Rings = evtrace.DefaultSinkCap
 		}
 	}
-	var reg *evtrace.Registry
-	if *metricsF || *gcjson != "" {
-		reg = evtrace.NewRegistry()
-		spec.Metrics = reg
-	}
 	ob, err := obs.Run(spec)
 	if err != nil {
 		return fail(err)
@@ -160,26 +198,25 @@ func realMain(argv []string) int {
 	res, tracer, checker, analyzer := ob.Results[0], ob.Tracer, ob.Checker, ob.Analyzer
 	if *timeline {
 		// The scheduling timeline around a representative mid-run GC
-		// replaces the report.
+		// comes first; the report and every other output follow.
 		title := fmt.Sprintf("%s (%s)", res.Benchmark, cfg.Optimizations)
-		if err := schedtrace.RenderMidGC(os.Stdout, ob.Timeline, res.NumCPUs, res.Reports, title); err != nil {
+		if err := schedtrace.RenderMidGC(stdout, ob.Timeline, res.NumCPUs, res.Reports, title); err != nil {
 			return fail(err)
 		}
-		return exit(0)
 	}
-	report(*opt, res, *gclogF)
+	report(stdout, *opt, res, *gclogF)
 	if checker != nil {
-		fmt.Print(checker.Report())
+		fmt.Fprint(stdout, checker.Report())
 	}
 	if *postmortemF {
-		analyzer.Postmortem().Render(os.Stdout)
+		analyzer.Postmortem().Render(stdout)
 	}
 	if *postmortemJSON != "" {
 		f, err := newOut(*postmortemJSON)
 		if err != nil {
 			return fail(err)
 		}
-		if err := gclog.WritePostmortemJSON(f, analyzer); err != nil {
+		if err := analyzer.Export().WriteJSON(f); err != nil {
 			return fail(err)
 		}
 	}
@@ -196,7 +233,7 @@ func realMain(argv []string) int {
 		if err := evtrace.WritePerfettoWindow(f, tracer, worst.SeqLo, worst.SeqHi); err != nil {
 			return fail(err)
 		}
-		fmt.Printf("wrote worst-pause window (gc=%d pause=%.3fms events=[%d..%d]) to %s\n",
+		fmt.Fprintf(stdout, "wrote worst-pause window (gc=%d pause=%.3fms events=[%d..%d]) to %s\n",
 			worst.Seq, float64(worst.PauseNs())/1e6, worst.SeqLo, worst.SeqHi, *postmortemWin)
 	}
 	if *evtraceOut != "" {
@@ -207,20 +244,24 @@ func realMain(argv []string) int {
 		if err := evtrace.WritePerfetto(f, tracer); err != nil {
 			return fail(err)
 		}
-		fmt.Printf("wrote %d trace events to %s (open in https://ui.perfetto.dev)\n", tracer.Len(), *evtraceOut)
+		fmt.Fprintf(stdout, "wrote %d trace events to %s (open in https://ui.perfetto.dev)\n", tracer.Len(), *evtraceOut)
 		drops := tracer.Drops()
 		for _, l := range evtrace.Layers() {
 			if d := drops[l]; d > 0 {
-				fmt.Printf("  warning: %s ring dropped %d events (raise -evtrace-cap for a complete export)\n", l, d)
+				fmt.Fprintf(stdout, "  warning: %s ring dropped %d events (raise -evtrace-cap for a complete export)\n", l, d)
 			}
 		}
 	}
 	if ob.Profiler != nil {
-		ob.Profiler.Profile("GCTaskManager").Render(os.Stdout)
+		ob.Profiler.Profile("GCTaskManager").Render(stdout)
 	}
+	// The registry renders the finished result, so its counters are the
+	// run-end values the report above prints.
+	reg := evtrace.NewRegistry()
+	res.Publish(reg)
 	if *metricsF {
-		fmt.Println("metrics:")
-		reg.Render(os.Stdout)
+		fmt.Fprintln(stdout, "metrics:")
+		reg.Render(stdout)
 	}
 	if *gcjson != "" {
 		f, err := newOut(*gcjson)
@@ -239,31 +280,31 @@ func realMain(argv []string) int {
 	return exit(0)
 }
 
-func report(label string, r *core.Result, printLog bool) {
-	fmt.Printf("[%s] %s: mutators=%d gcthreads=%d\n", label, r.Benchmark, r.Mutators, r.GCThreads)
-	fmt.Printf("  total=%v mutator=%v gc=%v (%.1f%%)\n",
+func report(w io.Writer, label string, r *core.Result, printLog bool) {
+	fmt.Fprintf(w, "[%s] %s: mutators=%d gcthreads=%d\n", label, r.Benchmark, r.Mutators, r.GCThreads)
+	fmt.Fprintf(w, "  total=%v mutator=%v gc=%v (%.1f%%)\n",
 		r.TotalTime, r.MutatorTime, r.GCTime, 100*r.GCRatio())
-	fmt.Printf("  collections: %d minor (%v), %d major (%v)\n",
+	fmt.Fprintf(w, "  collections: %d minor (%v), %d major (%v)\n",
 		r.MinorGCs, r.MinorGCTime, r.MajorGCs, r.MajorGCTime)
-	fmt.Printf("  steals: %d attempts, %.1f%% failed; monitor: %d fast, %d slow, %d owner-reacquires; rebinds: %d; mutator deep-wakes: %d\n",
+	fmt.Fprintf(w, "  steals: %d attempts, %.1f%% failed; monitor: %d fast, %d slow, %d owner-reacquires; rebinds: %d; mutator deep-wakes: %d\n",
 		r.Steal.TotalAttempts(), 100*r.Steal.FailureRate(),
 		r.Monitor.FastAcquires, r.Monitor.SlowAcquires, r.Monitor.OwnerReacquires, r.Rebinds, r.MutatorDeepWakes)
 	if r.Latency.N() > 0 {
-		fmt.Printf("  latency(ms): median=%.2f mean=%.2f p95=%.2f p99=%.2f p99.9=%.2f (%.0f ops/s)\n",
+		fmt.Fprintf(w, "  latency(ms): median=%.2f mean=%.2f p95=%.2f p99=%.2f p99.9=%.2f (%.0f ops/s)\n",
 			r.Latency.Median(), r.Latency.Mean(), r.Latency.Percentile(95),
 			r.Latency.Percentile(99), r.Latency.Percentile(99.9), r.ThroughputOPS)
 	}
 	if r.Err != nil {
-		fmt.Printf("  ERROR: %v\n", r.Err)
+		fmt.Fprintf(w, "  ERROR: %v\n", r.Err)
 	}
 	if printLog {
-		gclog.Write(os.Stdout, r.Reports)
+		gclog.Write(w, r.Reports)
 	}
 }
 
 // compareRuns averages vanilla and optimized over several seeds — the
 // paper's methodology ("each result was the average of 10 runs").
-func compareRuns(cfg core.Config, runs int) error {
+func compareRuns(w io.Writer, cfg core.Config, runs int) error {
 	var vanTot, vanGC, optTot, optGC stats.Histogram
 	for i := 0; i < runs; i++ {
 		c := cfg
@@ -287,8 +328,8 @@ func compareRuns(cfg core.Config, runs int) error {
 	}
 	row("vanilla", &vanTot, &vanGC)
 	row("optimized", &optTot, &optGC)
-	tab.Render(os.Stdout)
-	fmt.Printf("mean improvement: total %.1f%%, GC %.1f%%\n",
+	tab.Render(w)
+	fmt.Fprintf(w, "mean improvement: total %.1f%%, GC %.1f%%\n",
 		100*stats.Improvement(vanTot.Mean(), optTot.Mean()),
 		100*stats.Improvement(vanGC.Mean(), optGC.Mean()))
 	return nil

@@ -174,8 +174,7 @@ func Run(cfg Config) (*Result, error) {
 
 // BuildRunSpec resolves a Config into the jvm.RunSpec that Run would
 // execute, so callers (e.g. the CLI) can attach observability hooks —
-// an event tracer, a metrics registry, a scheduling timeline — before
-// running.
+// an event tracer, a checker, a scheduling timeline — before running.
 func BuildRunSpec(cfg Config) (jvm.RunSpec, error) {
 	cfg = cfg.Canonical()
 	p := cfg.Profile

@@ -6,8 +6,9 @@
 // only inspectable when every layer's events land on one timeline. Each
 // layer (simkit, cfs, jmutex, taskq, pscavenge) emits typed records into a
 // shared Tracer; on top of the bus sit a Chrome/Perfetto trace-event
-// exporter (perfetto.go), a named-metric registry (metrics.go), and a
-// lock-contention profiler (lockprof.go).
+// exporter (perfetto.go) and a lock-contention profiler (lockprof.go).
+// The package also holds the named-metric registry (metrics.go), which
+// renders finished results rather than bus events.
 //
 // Overhead contract: a nil *Tracer is a valid "tracing disabled" tracer —
 // every method is a no-op — and instrumented hot paths guard their single

@@ -6,147 +6,42 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
 )
 
-// This file is the unified metrics registry: the ad-hoc counters scattered
-// across the layers (jmutex.Stats, taskq.Stats, cfs.KernelStats, GCReport
-// totals) publish into one named-metric namespace, snapshotted once per
-// collection, so a run's counters are enumerable and machine-readable
-// through a single interface instead of five struct types.
-//
-// Like the Tracer, a Registry is single-threaded (one per simulation) and
-// every method is safe on a nil receiver, so publishing sites need no
-// enablement checks beyond the one nil guard.
+// This file is the unified metrics registry: a rendering of finished
+// results under one dotted-name namespace. Callers fill a fresh Registry
+// from values that are already final (a run's jvm.Result, the service's
+// counters at scrape time) and render it as a flat metric list, a
+// Prometheus exposition or an aligned listing. Nothing writes to a
+// registry while a simulation runs.
 
-// Counter is a monotonic (or externally-maintained absolute) int64 metric.
+// Counter is an int64 metric.
 type Counter struct{ v int64 }
 
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	if c != nil {
-		c.v += d
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Set overwrites the counter with an absolute value — used when a layer
-// already maintains its own cumulative struct and republishes it.
-func (c *Counter) Set(v int64) {
-	if c != nil {
-		c.v = v
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
+// Set overwrites the counter.
+func (c *Counter) Set(v int64) { c.v = v }
 
 // Gauge is an instantaneous float64 metric.
 type Gauge struct{ v float64 }
 
 // Set overwrites the gauge.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
+func (g *Gauge) Set(v float64) { g.v = v }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Histogram is a sample-accumulating distribution metric. Unlike Counter
-// and Gauge it retains every observation, so exact nearest-rank quantiles
-// are available at exposition time — the right trade for the registry's
-// use (service latencies, pause blame), where sample counts are modest
-// and quantile fidelity matters more than bounded memory.
-type Histogram struct {
-	samples []float64
-	sum     float64
-	sorted  bool
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.samples = append(h.samples, v)
-	h.sum += v
-	h.sorted = false
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.samples)
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Quantile returns the nearest-rank q-quantile (q in [0,1]) of the
-// observations, 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	idx := int(q*float64(len(h.samples)) + 0.5)
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(h.samples) {
-		idx = len(h.samples)
-	}
-	return h.samples[idx-1]
-}
-
-// Metric is one named value inside a snapshot.
+// Metric is one named value of a rendered registry.
 type Metric struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
 }
 
-// Snapshot is the registry's full state at one instant (sorted by name).
-type Snapshot struct {
-	Label  string   `json:"label"` // e.g. "gc-7"
-	AtNs   int64    `json:"at_ns"` // virtual time of the snapshot
-	Values []Metric `json:"values"`
-}
-
-// Registry holds named counters and gauges. Names are conventionally
-// dotted paths ("jmutex.fast_acquires", "taskq.steal_failures",
-// "gc.copied_bytes").
+// Registry holds named counters, gauges and summaries. Names are
+// conventionally dotted paths ("jmutex.fast_acquires",
+// "taskq.steal_failures", "gc.copied_bytes").
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	history  []Snapshot
+	hists    map[string]*stats.Histogram
 }
 
 // NewRegistry creates an empty registry.
@@ -154,16 +49,12 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		hists:    make(map[string]*stats.Histogram),
 	}
 }
 
 // Counter returns (creating if needed) the counter with the given name.
-// Returns nil on a nil registry; Counter/Gauge methods on nil are no-ops.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -174,9 +65,6 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns (creating if needed) the gauge with the given name.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -185,44 +73,26 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating if needed) the histogram with the given
-// name. Returns nil on a nil registry; Histogram methods on nil are no-ops.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+// Summary registers the live histogram h under name. The registry reads
+// h each time it renders, so later samples show in later renderings.
+func (r *Registry) Summary(name string, h *stats.Histogram) {
+	r.hists[name] = h
 }
 
-// Snap captures the registry's current state, appends it to the history,
-// and returns it. Safe on nil (returns a zero Snapshot).
-func (r *Registry) Snap(label string, atNs int64) Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	s := Snapshot{Label: label, AtNs: atNs, Values: r.values()}
-	r.history = append(r.history, s)
-	return s
-}
-
-// values returns every metric sorted by name. Metrics are collected into
+// Current returns every metric sorted by name. Metrics are collected into
 // one list and sorted by (name, kind) with counters before gauges before
-// histogram expansions, so any metrics sharing one name have a
+// summary expansions, so any metrics sharing one name have a
 // deterministic order; the former sort.Slice over map-iteration output
 // left that tie to the map's iteration order, which leaked into JSON
 // exports (and any digest over them) as run-to-run byte differences.
-// Histograms expand into five derived values each: <name>.p50, .p95,
-// .p99, .count and .sum — quantiles stay enumerable through the same
-// flat Metric interface the JSON consumers already parse.
-func (r *Registry) values() []Metric {
+// Summaries expand into five derived values each: <name>.p50, .p95, .p99
+// (stats.Histogram's nearest-rank percentiles), .count and .sum, so
+// quantiles stay enumerable through the same flat Metric interface the
+// JSON consumers already parse.
+func (r *Registry) Current() []Metric {
 	type entry struct {
 		Metric
-		rank int // counter=0, gauge=1, histogram expansion=2
+		rank int // counter=0, gauge=1, summary expansion=2
 	}
 	ents := make([]entry, 0, len(r.counters)+len(r.gauges)+5*len(r.hists))
 	for name, c := range r.counters {
@@ -233,9 +103,9 @@ func (r *Registry) values() []Metric {
 	}
 	for name, h := range r.hists {
 		ents = append(ents,
-			entry{Metric{Name: name + ".p50", Value: h.Quantile(0.50)}, 2},
-			entry{Metric{Name: name + ".p95", Value: h.Quantile(0.95)}, 2},
-			entry{Metric{Name: name + ".p99", Value: h.Quantile(0.99)}, 2},
+			entry{Metric{Name: name + ".p50", Value: h.Percentile(50)}, 2},
+			entry{Metric{Name: name + ".p95", Value: h.Percentile(95)}, 2},
+			entry{Metric{Name: name + ".p99", Value: h.Percentile(99)}, 2},
 			entry{Metric{Name: name + ".count", Value: float64(h.N())}, 2},
 			entry{Metric{Name: name + ".sum", Value: h.Sum()}, 2})
 	}
@@ -250,22 +120,6 @@ func (r *Registry) values() []Metric {
 		out[i] = e.Metric
 	}
 	return out
-}
-
-// Current returns the present metric values without recording a snapshot.
-func (r *Registry) Current() []Metric {
-	if r == nil {
-		return nil
-	}
-	return r.values()
-}
-
-// History returns the per-collection snapshots in order.
-func (r *Registry) History() []Snapshot {
-	if r == nil {
-		return nil
-	}
-	return r.history
 }
 
 // promName sanitizes a dotted registry name into the Prometheus metric
@@ -295,9 +149,6 @@ func promValue(v float64) string {
 // before gauges before summaries on a name tie), so the exposition is
 // deterministic and repeat-scrape byte-identical for unchanged state.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
 	type family struct {
 		name string
 		rank int
@@ -324,9 +175,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err := fmt.Fprintf(w,
 				"# TYPE %s summary\n%s{quantile=\"0.5\"} %s\n%s{quantile=\"0.95\"} %s\n%s{quantile=\"0.99\"} %s\n%s_sum %s\n%s_count %d\n",
 				n,
-				n, promValue(h.Quantile(0.50)),
-				n, promValue(h.Quantile(0.95)),
-				n, promValue(h.Quantile(0.99)),
+				n, promValue(h.Percentile(50)),
+				n, promValue(h.Percentile(95)),
+				n, promValue(h.Percentile(99)),
 				n, promValue(h.Sum()),
 				n, h.N())
 			return err
@@ -348,10 +199,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // Render renders the current values as an aligned two-column listing.
 func (r *Registry) Render(w io.Writer) {
-	if r == nil {
-		return
-	}
-	vals := r.values()
+	vals := r.Current()
 	width := 0
 	for _, m := range vals {
 		if len(m.Name) > width {

@@ -4,39 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-)
 
-func TestHistogramQuantiles(t *testing.T) {
-	var h *Histogram
-	h.Observe(1) // nil-safe
-	if h.N() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("nil histogram not inert")
-	}
-	h = &Histogram{}
-	if h.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile != 0")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
-	}
-	cases := []struct {
-		q    float64
-		want float64
-	}{{0, 1}, {0.5, 50}, {0.95, 95}, {0.99, 99}, {1, 100}}
-	for _, c := range cases {
-		if got := h.Quantile(c.q); got != c.want {
-			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
-		}
-	}
-	if h.N() != 100 || h.Sum() != 5050 {
-		t.Errorf("N=%d Sum=%g, want 100/5050", h.N(), h.Sum())
-	}
-	// Observing after a quantile query (which sorts) keeps accounting right.
-	h.Observe(0.5)
-	if got := h.Quantile(0); got != 0.5 {
-		t.Errorf("post-sort observe: Quantile(0) = %g, want 0.5", got)
-	}
-}
+	"repro/internal/stats"
+)
 
 // TestRegistryExpositionGolden pins both exposition formats byte for
 // byte: the JSON metric list (with histogram quantile expansion, sorted,
@@ -52,10 +22,11 @@ func TestRegistryExpositionGolden(t *testing.T) {
 		// A name collision across kinds: the tie must order deterministically.
 		r.Counter("svc.shared").Set(7)
 		r.Gauge("svc.shared").Set(1.5)
-		h := r.Histogram("svc.lat_ms")
+		h := &stats.Histogram{}
 		for _, v := range []float64{4, 2, 8, 1} {
-			h.Observe(v)
+			h.Add(v)
 		}
+		r.Summary("svc.lat_ms", h)
 		return r
 	}
 
@@ -119,11 +90,5 @@ svc_shared 1.5
 	}
 	if p3.String() != p1.String() {
 		t.Error("rebuild exposition differs: map order leaked into output")
-	}
-
-	var nilReg *Registry
-	nilReg.Histogram("x").Observe(1) // must not panic
-	if err := nilReg.WritePrometheus(&p3); err != nil {
-		t.Errorf("nil registry WritePrometheus: %v", err)
 	}
 }

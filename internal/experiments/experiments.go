@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/evtrace"
-	"repro/internal/gclog"
 	"repro/internal/jvm"
 	"repro/internal/runner"
 	"repro/internal/schedtrace"
@@ -327,7 +326,7 @@ func runSpec(opt Options, idx int, obs check.Observers, spec jvm.RunSpec, cfgs .
 	}
 	if ob.Analyzer != nil {
 		path := filepath.Join(opt.PostmortemDir, fmt.Sprintf("postmortem-%03d.json", idx))
-		if err := writeFile(path, func(w io.Writer) error { return gclog.WritePostmortemJSON(w, ob.Analyzer) }); err != nil {
+		if err := writeFile(path, ob.Analyzer.Export().WriteJSON); err != nil {
 			panic(fmt.Sprintf("experiment postmortem export failed: %v", err))
 		}
 	}

@@ -154,7 +154,8 @@ type RunExport struct {
 }
 
 // WriteRunJSON exports the whole run — collections, monitor and steal
-// statistics, and (when a registry was attached) the unified metrics.
+// statistics, and the unified metrics rendered from the same run (nil
+// omits them).
 func WriteRunJSON(w io.Writer, reports []*pscavenge.GCReport, mon jmutex.Stats, steal *taskq.Stats, metrics []evtrace.Metric) error {
 	out := RunExport{
 		Collections: make([]Entry, len(reports)),

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/affinity"
 	"repro/internal/cfs"
+	"repro/internal/evtrace"
 	"repro/internal/heap"
 	"repro/internal/jmutex"
 	"repro/internal/objgraph"
@@ -135,6 +136,45 @@ func (r *Result) GCRatio() float64 {
 		return 0
 	}
 	return float64(r.GCTime) / float64(r.TotalTime)
+}
+
+// Publish writes the run's counters into reg under the unified dotted
+// names (jmutex.*, taskq.*, cfs.*, gc.*). It reads the finished result,
+// so every value is the one at the end of the run.
+func (r *Result) Publish(reg *evtrace.Registry) {
+	ms := r.Monitor
+	reg.Counter("jmutex.fast_acquires").Set(int64(ms.FastAcquires))
+	reg.Counter("jmutex.slow_acquires").Set(int64(ms.SlowAcquires))
+	reg.Counter("jmutex.owner_reacquires").Set(int64(ms.OwnerReacquires))
+	reg.Counter("jmutex.bypasses").Set(int64(ms.Bypasses))
+	reg.Counter("jmutex.handoffs").Set(int64(ms.Handoffs))
+	reg.Counter("jmutex.park_events").Set(int64(ms.ParkEvents))
+	reg.Counter("jmutex.max_concurrent_seekers").Set(int64(ms.MaxConcurrentSeekers))
+	reg.Counter("taskq.steal_attempts").Set(r.Steal.TotalAttempts())
+	reg.Counter("taskq.steal_failures").Set(r.Steal.TotalFailures())
+	reg.Gauge("taskq.steal_failure_rate").Set(r.Steal.FailureRate())
+	ks := r.Kernel
+	reg.Counter("cfs.preemptions").Set(int64(ks.Preemptions))
+	reg.Counter("cfs.wake_preemptions").Set(int64(ks.WakePreemptions))
+	reg.Counter("cfs.newidle_pulls").Set(int64(ks.NewIdlePulls))
+	reg.Counter("cfs.periodic_pulls").Set(int64(ks.PeriodicPulls))
+	reg.Counter("cfs.context_switches").Set(int64(ks.ContextSwitches))
+	var copiedObjects, copiedBytes, promotedObjects, freedBytes int64
+	for _, rep := range r.Reports {
+		copiedObjects += rep.CopiedObjects
+		copiedBytes += rep.CopiedBytes
+		promotedObjects += rep.PromotedObjects
+		freedBytes += rep.FreedBytes
+	}
+	reg.Counter("gc.collections").Set(int64(len(r.Reports)))
+	reg.Counter("gc.copied_objects").Set(copiedObjects)
+	reg.Counter("gc.copied_bytes").Set(copiedBytes)
+	reg.Counter("gc.promoted_objects").Set(promotedObjects)
+	reg.Counter("gc.freed_bytes").Set(freedBytes)
+	if n := len(r.Reports); n > 0 {
+		last := r.Reports[n-1]
+		reg.Gauge("gc.last_pause_ms").Set((last.End - last.Start).Millis())
+	}
 }
 
 const (
@@ -403,7 +443,6 @@ func (m *Machine) AddJVM(cfg Config) (*JVM, error) {
 		VerifyHeap:     cfg.VerifyHeap,
 		OnWorkerStart:  j.Bal.WorkerStart,
 		OnGCWake:       j.Bal.GCWake,
-		Metrics:        m.Metrics,
 	}
 	if cfg.NUMARemoteFactor > 1 {
 		opt.NUMA = &pscavenge.NUMAModel{Topo: m.K.Topo, RemoteFactor: cfg.NUMARemoteFactor}

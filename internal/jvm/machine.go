@@ -21,10 +21,6 @@ type Machine struct {
 	Sim *simkit.Sim
 	K   *cfs.Kernel
 
-	// Metrics, when set before AddJVM, is handed to every JVM's collector
-	// as the unified metrics registry.
-	Metrics *evtrace.Registry
-
 	jvms    []*JVM
 	busy    []*cfs.Thread
 	scratch *Scratch // pooled backing arrays; harvested back by Close

@@ -25,9 +25,6 @@ type RunSpec struct {
 	// (simkit, cfs, jmutex, taskq, pscavenge) for Perfetto export and lock
 	// profiling. Tracing never perturbs the simulation.
 	EvTracer *evtrace.Tracer
-	// Metrics, when non-nil, is the unified counter registry, snapshotted
-	// after each collection.
-	Metrics *evtrace.Registry
 	// Scratch, when non-nil, supplies pooled backing arrays for the
 	// machine; Run harvests them back before returning. Reuse never
 	// changes results (see Scratch).
@@ -47,7 +44,7 @@ func Run(spec RunSpec) (*Result, error) {
 
 // RunJVMs executes cfgs side by side on one machine (§5.7) and returns
 // their results in order. spec describes the machine: topology, scheduler,
-// seed, busy loops, time bound, event tracer, metrics and scratch; its Config
+// seed, busy loops, time bound, event tracer and scratch; its Config
 // field is not read. JVM i runs with its Seed offset by i·1000003, so
 // co-running instances of one config draw distinct streams.
 func RunJVMs(spec RunSpec, cfgs ...Config) ([]*Result, error) {
@@ -61,7 +58,6 @@ func RunJVMs(spec RunSpec, cfgs ...Config) ([]*Result, error) {
 	}
 	m := NewMachineScratch(spec.Seed, topo, spec.Sched, spec.EvTracer, spec.Scratch)
 	defer m.Close()
-	m.Metrics = spec.Metrics
 	if spec.BusyLoops > 0 {
 		m.AddBusyLoops(spec.BusyLoops)
 	}

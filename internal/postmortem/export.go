@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/stats"
 )
 
 // ExportSchema versions the postmortem JSON format.
@@ -61,9 +63,7 @@ type ReportExport struct {
 	SeqHi    uint64  `json:"seq_hi"`
 }
 
-func quantiles(h interface {
-	Percentile(p float64) float64
-}) Quantiles {
+func quantiles(h *stats.Histogram) Quantiles {
 	return Quantiles{
 		P50: h.Percentile(50), P95: h.Percentile(95),
 		P99: h.Percentile(99), Max: h.Percentile(100),

@@ -55,9 +55,6 @@ type Options struct {
 	Instance int
 	// Costs overrides the calibration (nil = DefaultCosts).
 	Costs *Costs
-	// Metrics, when non-nil, receives the unified counter namespace
-	// (jmutex.*, taskq.*, cfs.*, gc.*) snapshotted after every collection.
-	Metrics *evtrace.Registry
 }
 
 // Engine is a Parallel Scavenge collector bound to one heap and kernel.
@@ -230,7 +227,6 @@ func (g *Engine) RunMinorGC(e *cfs.Env, roots RootSet) *GCReport {
 	g.taskBuf = g.retireTasks(tasks)
 	g.Reports = append(g.Reports, rep)
 	g.emitPhases(rep, fs)
-	g.publishMetrics(rep)
 	g.verify()
 	return rep
 }
@@ -253,39 +249,6 @@ func (g *Engine) emitPhases(rep *GCReport, fsStart simkit.Time) {
 		Dur: int64(fsStart - parStart), Core: -1, TID: -1, Name: "parallel", Arg1: int64(rep.Seq), Arg2: inst})
 	g.etr.Emit(evtrace.Event{Kind: evtrace.KGCPhase, At: int64(fsStart),
 		Dur: int64(rep.End - fsStart), Core: -1, TID: -1, Name: "final-sync", Arg1: int64(rep.Seq), Arg2: inst})
-}
-
-// publishMetrics republishes the layers' counters into the unified
-// registry and snapshots it, once per collection.
-func (g *Engine) publishMetrics(rep *GCReport) {
-	reg := g.Opt.Metrics
-	if reg == nil {
-		return
-	}
-	ms := g.mgr.mon.Stats
-	reg.Counter("jmutex.fast_acquires").Set(int64(ms.FastAcquires))
-	reg.Counter("jmutex.slow_acquires").Set(int64(ms.SlowAcquires))
-	reg.Counter("jmutex.owner_reacquires").Set(int64(ms.OwnerReacquires))
-	reg.Counter("jmutex.bypasses").Set(int64(ms.Bypasses))
-	reg.Counter("jmutex.handoffs").Set(int64(ms.Handoffs))
-	reg.Counter("jmutex.park_events").Set(int64(ms.ParkEvents))
-	reg.Counter("jmutex.max_concurrent_seekers").Set(int64(ms.MaxConcurrentSeekers))
-	reg.Counter("taskq.steal_attempts").Set(g.Steal.TotalAttempts())
-	reg.Counter("taskq.steal_failures").Set(g.Steal.TotalFailures())
-	reg.Gauge("taskq.steal_failure_rate").Set(g.Steal.FailureRate())
-	ks := g.K.Stats
-	reg.Counter("cfs.preemptions").Set(int64(ks.Preemptions))
-	reg.Counter("cfs.wake_preemptions").Set(int64(ks.WakePreemptions))
-	reg.Counter("cfs.newidle_pulls").Set(int64(ks.NewIdlePulls))
-	reg.Counter("cfs.periodic_pulls").Set(int64(ks.PeriodicPulls))
-	reg.Counter("cfs.context_switches").Set(int64(ks.ContextSwitches))
-	reg.Counter("gc.collections").Set(int64(len(g.Reports)))
-	reg.Counter("gc.copied_objects").Add(rep.CopiedObjects)
-	reg.Counter("gc.copied_bytes").Add(rep.CopiedBytes)
-	reg.Counter("gc.promoted_objects").Add(rep.PromotedObjects)
-	reg.Counter("gc.freed_bytes").Add(rep.FreedBytes)
-	reg.Gauge("gc.last_pause_ms").Set((rep.End - rep.Start).Millis())
-	reg.Snap(fmt.Sprintf("gc-%d", rep.Seq), int64(rep.End))
 }
 
 // verify enforces Options.VerifyHeap.
@@ -492,7 +455,6 @@ func (g *Engine) RunMajorGC(e *cfs.Env, roots RootSet) *GCReport {
 	g.taskBuf = tasks
 	g.Reports = append(g.Reports, rep)
 	g.emitPhases(rep, fs)
-	g.publishMetrics(rep)
 	g.verify()
 	return rep
 }

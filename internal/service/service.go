@@ -351,9 +351,11 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	return s.registry().WritePrometheus(w)
 }
 
-// registry snapshots the counters, gauges, and latency histograms into a
-// fresh metrics registry — the single source both exposition formats
-// (JSON via Metrics, Prometheus text via WritePrometheus) render from.
+// registry copies the counters and gauges into a fresh metrics registry
+// and registers the live latency histograms with it — the single source
+// both exposition formats (JSON via Metrics, Prometheus text via
+// WritePrometheus) render from. The latency gauges and the summaries read
+// the same histograms, so they share one quantile rule.
 func (s *Service) registry() *evtrace.Registry {
 	reg := evtrace.NewRegistry()
 	reg.Counter("service.requests").Set(s.requests.Load())
@@ -380,17 +382,15 @@ func (s *Service) registry() *evtrace.Registry {
 		reg.Gauge("service.latency_p99_ms").Set(s.latency.Percentile(99))
 		reg.Gauge("service.rps").Set(float64(s.requests.Load()) / time.Since(s.started).Seconds())
 	}
-	hist := func(name string, h *stats.Histogram) {
-		if h.N() == 0 {
-			return
+	summary := func(name string, h *stats.Histogram) {
+		if h.N() > 0 {
+			reg.Summary(name, h)
 		}
-		eh := reg.Histogram(name)
-		h.Each(eh.Observe)
 	}
-	hist("service.latency_ms", &s.latency)
-	hist("service.latency_cold_ms", &s.latCold)
-	hist("service.latency_hit_ms", &s.latHit)
-	hist("service.latency_coalesced_ms", &s.latCoalesced)
+	summary("service.latency_ms", &s.latency)
+	summary("service.latency_cold_ms", &s.latCold)
+	summary("service.latency_hit_ms", &s.latHit)
+	summary("service.latency_coalesced_ms", &s.latCoalesced)
 	_, busy := s.pool.Stats()
 	wall := time.Since(s.started)
 	if wall > 0 && s.pool.Workers() > 0 {

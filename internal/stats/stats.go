@@ -46,11 +46,23 @@ func (h *Histogram) Mean() float64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
+	return h.sum() / float64(len(h.samples))
+}
+
+// Sum returns the sum of the samples (0 when empty).
+func (h *Histogram) Sum() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum()
+}
+
+// sum adds the samples in insertion order; the caller holds h.mu.
+func (h *Histogram) sum() float64 {
 	var s float64
 	for _, v := range h.samples {
 		s += v
 	}
-	return s / float64(len(h.samples))
+	return s
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) using the
@@ -76,16 +88,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 		rank = 0
 	}
 	return h.sorted[rank]
-}
-
-// Each calls fn with every recorded sample in insertion order. The mutex
-// is held across the iteration, so fn must not call back into h.
-func (h *Histogram) Each(fn func(float64)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, v := range h.samples {
-		fn(v)
-	}
 }
 
 // Median is Percentile(50).

@@ -12,7 +12,7 @@ import (
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Percentile(50) != 0 || h.N() != 0 {
+	if h.Mean() != 0 || h.Percentile(50) != 0 || h.N() != 0 || h.Sum() != 0 {
 		t.Error("empty histogram must return zeros")
 	}
 	for _, v := range []float64{5, 1, 3, 2, 4} {
@@ -23,6 +23,9 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if h.Mean() != 3 {
 		t.Errorf("Mean = %v, want 3", h.Mean())
+	}
+	if h.Sum() != 15 {
+		t.Errorf("Sum = %v, want 15", h.Sum())
 	}
 	if h.Median() != 3 {
 		t.Errorf("Median = %v, want 3", h.Median())
@@ -171,7 +174,7 @@ func TestRenderCSV(t *testing.T) {
 
 // TestHistogramConcurrentReads is the -race regression test for the
 // in-place sort Percentile used to perform: concurrent quantile queries on
-// a shared Histogram must not race with each other or with Mean.
+// a shared Histogram must not race with each other or with Mean and Sum.
 func TestHistogramConcurrentReads(t *testing.T) {
 	h := &Histogram{}
 	for i := 0; i < 2000; i++ {
@@ -190,6 +193,7 @@ func TestHistogramConcurrentReads(t *testing.T) {
 				}
 				h.Median()
 				h.Mean()
+				h.Sum()
 				h.Max()
 				h.N()
 			}
