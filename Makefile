@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: build test race vet fmt-check bench check check-invariants results \
 	bench-smoke bench-guard bench-baseline bench-benchstat bench-compare \
 	trace-smoke bench-json benchjson-smoke serve-smoke postmortem-smoke \
-	fleet-smoke triage-smoke profile-fig10
+	fleet-smoke triage-smoke perfbench-vet profile-fig10
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,14 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: fmt-check vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke fleet-smoke triage-smoke
+check: fmt-check vet perfbench-vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke fleet-smoke triage-smoke
+
+# perfbench is its own module (repro/perfbench, replacing repro with the
+# tree), so `go build ./...` and `go vet ./...` never compile it. Vetting it
+# here, offline, catches an internal API change that breaks the benchmark
+# before the benchmark runs.
+perfbench-vet:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet .
 
 # Correctness harness: race-test the checker package itself, then run a
 # 32-cell smoke slice of the seed-sweep property harness (a prefix of the

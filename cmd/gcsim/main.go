@@ -10,8 +10,9 @@
 //
 // -compare (and -runs, which averages compared runs) prints only the
 // comparison; the single-run flags (-opt, -check, -metrics, -gcjson,
-// -timeline, -evtrace, -lockprofile, -postmortem*) are usage errors with
-// it, as is -runs without -compare.
+// -timeline, -evtrace, -evtrace-cap, -lockprofile, -postmortem*) are
+// usage errors with it, as is -runs without -compare. -evtrace-cap also
+// needs -evtrace or -postmortem-trace, whose rings it sizes.
 package main
 
 import (
@@ -72,7 +73,10 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	// A flag the chosen mode would not honour is a usage error naming it,
-	// never a silent no-op.
+	// never a silent no-op. -evtrace-cap defaults to a valid capacity, so
+	// only fs.Visit tells an explicit setting from the default.
+	evtraceCapSet := false
+	fs.Visit(func(f *flag.Flag) { evtraceCapSet = evtraceCapSet || f.Name == "evtrace-cap" })
 	singleRun := []struct {
 		name string
 		set  bool
@@ -83,6 +87,7 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 		{"gcjson", *gcjson != ""},
 		{"timeline", *timeline},
 		{"evtrace", *evtraceOut != ""},
+		{"evtrace-cap", evtraceCapSet},
 		{"lockprofile", *lockprof},
 		{"postmortem", *postmortemF},
 		{"postmortem-json", *postmortemJSON != ""},
@@ -103,6 +108,9 @@ func realMain(argv []string, stdout, stderr io.Writer) int {
 	}
 	if *runs > 1 && !*compare {
 		return usage("-runs %d averages -compare runs; it needs -compare", *runs)
+	}
+	if evtraceCapSet && *evtraceOut == "" && *postmortemWin == "" {
+		return usage("-evtrace-cap sizes the rings of -evtrace and -postmortem-trace; it needs one of them")
 	}
 
 	// Every file output registers here, and every exit path funnels

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/evtrace"
 )
 
 // run drives realMain and returns its exit code, stdout and stderr.
@@ -53,6 +55,10 @@ func TestUnhonouredFlagsExit2(t *testing.T) {
 		{[]string{"-compare", "-gcjson", filepath.Join(dir, "g.json")}, "-gcjson"},
 		{[]string{"-compare", "-timeline"}, "-timeline"},
 		{[]string{"-compare", "-evtrace", filepath.Join(dir, "t.json")}, "-evtrace"},
+		{[]string{"-compare", "-evtrace-cap", "5"}, "-evtrace-cap"},
+		{[]string{"-evtrace-cap", "5"}, "-evtrace-cap"},
+		{[]string{"-evtrace-cap", strconv.Itoa(evtrace.DefaultSinkCap)}, "-evtrace-cap"},
+		{[]string{"-evtrace-cap", "5", "-postmortem"}, "-evtrace-cap"},
 		{[]string{"-compare", "-lockprofile"}, "-lockprofile"},
 		{[]string{"-compare", "-postmortem"}, "-postmortem"},
 		{[]string{"-compare", "-postmortem-json", filepath.Join(dir, "p.json")}, "-postmortem-json"},
@@ -72,6 +78,19 @@ func TestUnhonouredFlagsExit2(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Errorf("a rejected run wrote %d file(s)", len(entries))
+	}
+}
+
+// -evtrace-cap sizes the rings of -evtrace: a small cap drops events and
+// the run says so.
+func TestEvtraceCapSizesRings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.json")
+	code, out, errOut := run(t, "-bench", "lusearch", "-mutators", "8", "-evtrace", path, "-evtrace-cap", "64")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	if !strings.Contains(out, "raise -evtrace-cap") {
+		t.Errorf("a 64-event ring reported no drops:\n%s", out)
 	}
 }
 

@@ -8,6 +8,11 @@
 //	gcsimd -addr 127.0.0.1:8379
 //	curl -s localhost:8379/run -d '{"benchmark":"lusearch","mutators":8,"seed":1}'
 //
+// Every /sweep cell goes through the same path as a /run request: the
+// cache, coalescing onto an identical in-flight scenario, the -queue
+// admission bound and the -timeout, served by the -workers in-process
+// pull workers.
+//
 // Load-generator mode drives an already running server through a cold
 // phase (distinct scenarios, every one a simulation) and a cached phase
 // (the same scenarios again) and reports the RPS of each:
@@ -32,13 +37,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"strings"
 	"sync"
 	"time"
 
-	fleetpkg "repro/internal/fleet"
 	"repro/internal/service"
 )
 
@@ -56,9 +59,6 @@ func main() {
 		items   = flag.Int("items", 1500, "loadgen/selftest: work items per scenario")
 
 		selftest = flag.Bool("selftest", false, "start an in-process server and verify the cache contract")
-
-		fleet       = flag.Int("fleet", 0, "serve mode: dispatch uncached /sweep cells to this many worker processes (0 = in-process pool)")
-		fleetWorker = flag.Bool("fleet-worker", false, "run as a fleet sweep worker (internal; speaks the fleet protocol on stdin/stdout)")
 	)
 	flag.Parse()
 
@@ -69,11 +69,6 @@ func main() {
 		Timeout:   *timeout,
 	}
 	switch {
-	case *fleetWorker:
-		if err := service.ServeFleetWorker(os.Stdin, os.Stdout, fleetpkg.WorkerOptions{}); err != nil {
-			fmt.Fprintln(os.Stderr, "gcsimd fleet worker:", err)
-			os.Exit(1)
-		}
 	case *selftest:
 		if err := runSelftest(opts, *n, *c, *items); err != nil {
 			fmt.Fprintln(os.Stderr, "selftest FAIL:", err)
@@ -88,27 +83,15 @@ func main() {
 		}
 		fmt.Printf("cold  %8.1f req/s\ncached %7.1f req/s (%.1fx)\n", cold, warm, warm/cold)
 	default:
-		if err := serve(*addr, opts, *fleet); err != nil {
+		if err := serve(*addr, opts); err != nil {
 			log.Fatal(err)
 		}
 	}
 }
 
-func serve(addr string, opts service.Options, fleetWorkers int) error {
+func serve(addr string, opts service.Options) error {
 	s := service.New(opts)
 	defer s.Close()
-	if fleetWorkers > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		s.SetFleetBackend(fleetWorkers, func(int) (*exec.Cmd, error) {
-			cmd := exec.Command(exe, "-fleet-worker")
-			cmd.Stderr = os.Stderr
-			return cmd, nil
-		})
-		log.Printf("gcsimd: /sweep fleet backend enabled (%d worker processes)", fleetWorkers)
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err

@@ -48,7 +48,6 @@ func realMain(argv []string) int {
 		skipBare  = fs.Bool("skip-bare", false, "skip the bare determinism replay (one simulation per cell instead of two)")
 		workers   = fs.Int("workers", 2, "worker processes")
 		shards    = fs.Int("shards", 0, "shard count (0 = 4x workers)")
-		inflight  = fs.Int("inflight", 0, "max shards in flight per worker (0 = 2)")
 		noSteal   = fs.Bool("no-steal", false, "disable cross-shard work stealing")
 		heartbeat = fs.Duration("heartbeat", 0, "ping interval (0 = 500ms)")
 		deadline  = fs.Duration("deadline", 0, "per-worker progress deadline (0 = 30s)")
@@ -90,7 +89,6 @@ func realMain(argv []string) int {
 		Cells:        *cells,
 		Workers:      *workers,
 		Shards:       *shards,
-		Inflight:     *inflight,
 		DisableSteal: *noSteal,
 		Heartbeat:    *heartbeat,
 		Deadline:     *deadline,

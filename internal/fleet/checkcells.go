@@ -8,7 +8,7 @@ import (
 
 // CheckRunner adapts the check-package cell space to the fleet worker: the
 // cell index alone names the cell (check.CellAt is prefix-stable and O(1)
-// in the index), so no payloads travel on the wire.
+// in the index), so only the index travels on the wire.
 func CheckRunner(baseSeed int64, opts check.RunOptions) RunFunc {
 	return func(index int, _ json.RawMessage) (CellRecord, error) {
 		cell := check.CellAt(baseSeed, index)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,15 +16,20 @@ import (
 // partial Result returned alongside it holds every record collected.
 var ErrDrained = errors.New("fleet: sweep drained before completion")
 
+// inflight caps shards concurrently assigned to one worker: one running,
+// one prefetched so the worker never idles a pipe round-trip between
+// shards. Restriction, not oversubscription: queue depth beyond that only
+// hides progress from the balancer.
+const inflight = 2
+
+// minSteal is the smallest remaining tail worth stealing, in cells.
+// Smaller remainders finish faster locally than a steal round-trip.
+const minSteal = 2
+
 // Config describes one fleet sweep.
 type Config struct {
 	// Cells is the size of the cell space [0, Cells).
 	Cells int
-
-	// Payloads optionally carries one opaque JSON payload per cell
-	// (len == Cells). Nil for self-deriving spaces where the index alone
-	// names the cell (check.CellAt).
-	Payloads []json.RawMessage
 
 	// Workers is the number of worker processes (<= 0 means 1).
 	Workers int
@@ -35,17 +39,6 @@ type Config struct {
 	// gives stealing something to rebalance). More shards = finer-grained
 	// balancing, more dispatch traffic.
 	Shards int
-
-	// Inflight caps shards concurrently assigned to one worker (<= 0
-	// means 2: one running, one prefetched so the worker never idles a
-	// pipe round-trip between shards). Restriction, not oversubscription:
-	// queue depth beyond that only hides progress from the balancer.
-	Inflight int
-
-	// MinSteal is the smallest remaining tail worth stealing (<= 0 means
-	// 2 cells). Smaller remainders finish faster locally than a steal
-	// round-trip.
-	MinSteal int
 
 	// DisableSteal turns cross-shard work stealing off (for measuring
 	// what stealing buys).
@@ -86,12 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards > c.Cells && c.Cells > 0 {
 		c.Shards = c.Cells
-	}
-	if c.Inflight <= 0 {
-		c.Inflight = 2
-	}
-	if c.MinSteal <= 0 {
-		c.MinSteal = 2
 	}
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 500 * time.Millisecond
@@ -151,12 +138,12 @@ type worker struct {
 
 // outbox is an unbounded per-worker send queue drained by a dedicated
 // writer goroutine. The coordinator goroutine must never block on a
-// worker's stdin: a MsgShard frame for a payload sweep can be megabytes,
-// and a worker whose stdout pipe is also full would close the cycle
-// coordinator→stdin / worker→stdout / reader→events / coordinator and
-// deadlock the sweep. Unbounded is safe: outstanding traffic per worker
-// is a handful of shard assignments (Inflight-capped) plus pings, and a
-// worker that stops reading is killed by the progress deadline.
+// worker's stdin: a full 64 KiB pipe and a worker that stopped reading
+// would close the cycle coordinator→stdin / worker→stdout /
+// reader→events / coordinator and deadlock the sweep. Unbounded is safe:
+// outstanding traffic per worker is a handful of shard assignments
+// (capped by inflight) plus pings, and a worker that stops reading is
+// killed by the progress deadline.
 type outbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -231,9 +218,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Cells <= 0 {
 		return nil, fmt.Errorf("fleet: no cells to sweep")
-	}
-	if cfg.Payloads != nil && len(cfg.Payloads) != cfg.Cells {
-		return nil, fmt.Errorf("fleet: %d payloads for %d cells", len(cfg.Payloads), cfg.Cells)
 	}
 	if cfg.Command == nil {
 		return nil, fmt.Errorf("fleet: Config.Command is required")
@@ -588,11 +572,7 @@ func (co *coordinator) dispatch() bool {
 		co.pending = co.pending[1:]
 		sh.worker = w.id
 		w.assigned[sh.id] = sh
-		env := &Envelope{Type: MsgShard, Shard: sh.id, Lo: sh.next, Hi: sh.hi}
-		if co.cfg.Payloads != nil {
-			env.Payloads = co.cfg.Payloads[sh.next:sh.hi]
-		}
-		co.send(w, env)
+		co.send(w, &Envelope{Type: MsgShard, Shard: sh.id, Lo: sh.next, Hi: sh.hi})
 	}
 	if co.alive() == 0 {
 		return co.got >= co.cfg.Cells
@@ -618,7 +598,7 @@ func (co *coordinator) alive() int {
 func (co *coordinator) pickWorker() *worker {
 	var best *worker
 	for _, w := range co.workers {
-		if !w.alive || !w.hello || len(w.assigned) >= co.cfg.Inflight {
+		if !w.alive || !w.hello || len(w.assigned) >= inflight {
 			continue
 		}
 		if best == nil || len(w.assigned) < len(best.assigned) {
@@ -657,7 +637,7 @@ func (co *coordinator) maybeSteal() {
 			}
 		}
 	}
-	if victim == nil || victim.remaining() < 2*co.cfg.MinSteal {
+	if victim == nil || victim.remaining() < 2*minSteal {
 		return
 	}
 	keep := victim.next + victim.remaining()/2

@@ -9,8 +9,8 @@
 // used to fan a few hundred cells across one process's cores with a
 // static submission order, which serializes exactly the way HotSpot's GC
 // task distribution does when work and scheduling interact badly. The
-// fleet layer scales the same cell spaces (check.Cells,
-// experiments.GridIndexes) to 100k+ cells across processes, and keeps
+// fleet layer scales the check cell space (check.CellAt, served by
+// CheckRunner) to 100k+ cells across processes, and keeps
 // determinism as the fleet-level correctness oracle: the merged
 // gcsim-sweep/v1 report is byte-identical regardless of shard count,
 // worker count, steal interleaving, or injected worker kills.
@@ -35,8 +35,7 @@ const MaxFrame = 16 << 20
 // MsgType tags one protocol envelope.
 type MsgType string
 
-// Coordinator→worker: MsgShard assigns cells [Lo,Hi) as shard Shard
-// (Payloads optionally carries one opaque JSON payload per cell);
+// Coordinator→worker: MsgShard assigns cells [Lo,Hi) as shard Shard;
 // MsgSteal asks the worker to give back the unstarted tail of shard
 // Shard, cutting no earlier than Cut; MsgPing probes liveness; MsgDrain
 // asks the worker to finish its current cell, stop, and exit.
@@ -77,11 +76,6 @@ type Envelope struct {
 	// Record is the cell result on MsgCell.
 	Record *CellRecord `json:"record,omitempty"`
 
-	// Payloads optionally carries one opaque per-cell payload for each
-	// index in [Lo,Hi) of a MsgShard. Empty for self-deriving cell spaces
-	// (check.CellAt needs only the index).
-	Payloads []json.RawMessage `json:"payloads,omitempty"`
-
 	// Err carries a worker-side infrastructure error on MsgBye.
 	Err string `json:"err,omitempty"`
 }
@@ -95,8 +89,7 @@ type Envelope struct {
 type CellRecord struct {
 	Index int `json:"index"`
 
-	// Digest is the cell's observable-output digest (check sweeps), or
-	// empty for payload sweeps that only carry a Body.
+	// Digest is the cell's observable-output digest.
 	Digest string `json:"digest,omitempty"`
 
 	Events     uint64 `json:"events,omitempty"`
@@ -106,10 +99,6 @@ type CellRecord struct {
 
 	Failed  bool   `json:"failed,omitempty"`
 	Summary string `json:"summary,omitempty"`
-
-	// Body is the cell's opaque result for payload sweeps (e.g. a gcsimd
-	// prediction); empty for check sweeps.
-	Body json.RawMessage `json:"body,omitempty"`
 }
 
 // WriteMsg frames env as a 4-byte big-endian length followed by its JSON

@@ -12,13 +12,7 @@ import (
 )
 
 func TestCodecRoundTrip(t *testing.T) {
-	in := Envelope{
-		Type: MsgShard, Shard: 7, Lo: 10, Hi: 20,
-		Payloads: []json.RawMessage{
-			json.RawMessage(`{"a":1}`),
-			json.RawMessage(`null`),
-		},
-	}
+	in := Envelope{Type: MsgShard, Shard: 7, Lo: 10, Hi: 20}
 	var buf bytes.Buffer
 	if err := WriteMsg(&buf, &in); err != nil {
 		t.Fatalf("WriteMsg: %v", err)
@@ -33,7 +27,7 @@ func TestCodecRoundTrip(t *testing.T) {
 
 	// A record-bearing frame survives too.
 	rec := CellRecord{Index: 3, Digest: "abc", Events: 9, Violations: 1,
-		Failed: true, Summary: "boom", Body: json.RawMessage(`{"x":2}`)}
+		Failed: true, Summary: "boom"}
 	in = Envelope{Type: MsgCell, Shard: 1, Record: &rec}
 	buf.Reset()
 	if err := WriteMsg(&buf, &in); err != nil {
@@ -105,9 +99,7 @@ func TestWriteMsgRejectsOversizedFrame(t *testing.T) {
 	for i := range big {
 		big[i] = 'a'
 	}
-	env := Envelope{Type: MsgCell, Record: &CellRecord{
-		Index: 1, Body: json.RawMessage(`"` + string(big) + `"`),
-	}}
+	env := Envelope{Type: MsgCell, Record: &CellRecord{Index: 1, Summary: string(big)}}
 	if err := WriteMsg(io.Discard, &env); err == nil {
 		t.Fatal("want oversized-frame error, got nil")
 	}

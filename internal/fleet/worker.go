@@ -10,10 +10,10 @@ import (
 )
 
 // RunFunc executes one cell. index names the cell in the sweep's
-// prefix-stable space; payload is the opaque per-cell payload of payload
-// sweeps (nil for self-deriving spaces). The returned record's Index must
-// equal index. An error is folded into a Failed record, so one broken
-// cell never takes its shard's worker down.
+// prefix-stable space, which derives everything else about it. payload is
+// always nil: no cell space carries per-cell data on the wire. The
+// returned record's Index must equal index. An error is folded into a
+// Failed record, so one broken cell never takes its shard's worker down.
 type RunFunc func(index int, payload json.RawMessage) (CellRecord, error)
 
 // WorkerOptions carry the fault-injection knobs of the recovery harness.
@@ -49,8 +49,6 @@ type workerState struct {
 type workerShard struct {
 	id       int
 	next, hi int
-	payloads []json.RawMessage // nil, or one payload per original [lo,hi) cell
-	lo       int               // original lo, to index payloads
 }
 
 func (ws *workerState) send(env *Envelope) error {
@@ -118,10 +116,7 @@ func (ws *workerState) readLoop(in io.Reader) error {
 			ws.send(&Envelope{Type: MsgPong, Seq: env.Seq})
 		case MsgShard:
 			ws.mu.Lock()
-			ws.queue = append(ws.queue, &workerShard{
-				id: env.Shard, next: env.Lo, hi: env.Hi,
-				payloads: env.Payloads, lo: env.Lo,
-			})
+			ws.queue = append(ws.queue, &workerShard{id: env.Shard, next: env.Lo, hi: env.Hi})
 			ws.cond.Broadcast()
 			ws.mu.Unlock()
 		case MsgSteal:
@@ -205,10 +200,6 @@ func (ws *workerState) mainLoop(run RunFunc, opts WorkerOptions) error {
 		sh := ws.queue[0]
 		idx := sh.next
 		sh.next++
-		var payload json.RawMessage
-		if sh.payloads != nil && idx-sh.lo < len(sh.payloads) {
-			payload = sh.payloads[idx-sh.lo]
-		}
 		ws.mu.Unlock()
 
 		if opts.HangAfter > 0 && ran >= opts.HangAfter {
@@ -223,7 +214,7 @@ func (ws *workerState) mainLoop(run RunFunc, opts WorkerOptions) error {
 			}
 		}
 
-		rec := runOne(run, idx, payload)
+		rec := runOne(run, idx)
 		ran++
 		if err := ws.send(&Envelope{Type: MsgCell, Shard: sh.id, Record: &rec}); err != nil {
 			return err
@@ -239,14 +230,14 @@ func (ws *workerState) mainLoop(run RunFunc, opts WorkerOptions) error {
 
 // runOne executes one cell, converting errors and panics into a Failed
 // record so a poisoned cell is reported, not fatal.
-func runOne(run RunFunc, idx int, payload json.RawMessage) (rec CellRecord) {
+func runOne(run RunFunc, idx int) (rec CellRecord) {
 	defer func() {
 		if r := recover(); r != nil {
 			rec = CellRecord{Index: idx, Failed: true,
 				Summary: fmt.Sprintf("worker panic: %v", r)}
 		}
 	}()
-	rec, err := run(idx, payload)
+	rec, err := run(idx, nil)
 	if err != nil {
 		return CellRecord{Index: idx, Failed: true, Summary: err.Error()}
 	}

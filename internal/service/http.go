@@ -161,10 +161,6 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 			"sweep expands to %d cells, max %d — split it", len(cells), maxSweepCells)})
 		return
 	}
-	if workers, cmd := s.fleetBackend(); cmd != nil {
-		s.fleetSweep(w, r, cells, workers, cmd)
-		return
-	}
 	s.sweeps.Add(1)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os/exec"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,16 +77,6 @@ type Service struct {
 	queue    chan *job
 	closed   bool
 
-	// Fleet sweep backend (SetFleetBackend): when fleetCmd is non-nil,
-	// /sweep dispatches uncached cells to worker processes instead of the
-	// in-process pool. fleetGate serializes fleet launches: each fleet
-	// sweep forks its own worker processes, so N concurrent requests would
-	// otherwise fork N*workers children — unbounded process amplification
-	// the in-process backend's shared pool never had.
-	fleetWorkers int
-	fleetCmd     func(i int) (*exec.Cmd, error)
-	fleetGate    chan struct{}
-
 	workers sync.WaitGroup // the pull workers; Close waits for them
 	started time.Time
 
@@ -117,13 +106,12 @@ type Service struct {
 func New(opts Options) *Service {
 	opts = opts.withDefaults()
 	s := &Service{
-		opts:      opts,
-		pool:      runner.New(opts.Workers),
-		cache:     newLRUCache(opts.CacheSize),
-		inflight:  make(map[string]*job),
-		queue:     make(chan *job, opts.QueueCap),
-		fleetGate: make(chan struct{}, 1),
-		started:   time.Now(),
+		opts:     opts,
+		pool:     runner.New(opts.Workers),
+		cache:    newLRUCache(opts.CacheSize),
+		inflight: make(map[string]*job),
+		queue:    make(chan *job, opts.QueueCap),
+		started:  time.Now(),
 	}
 	s.workers.Add(s.pool.Workers())
 	for w := 0; w < s.pool.Workers(); w++ {
@@ -306,12 +294,12 @@ func (s *Service) runJob(j *job) {
 }
 
 // computeBody simulates one spec and marshals the Prediction body the
-// cache stores. It is the single compute path shared by the in-process
-// executor and fleet sweep workers (ServeFleetWorker), so a cell's bytes
-// are identical whichever backend ran it. Every simulation carries a
-// pause-postmortem analyzer: blame attribution subscribes to the event
-// bus (one that keeps no records — the subscriber sees the whole stream)
-// and never perturbs the run, so the body stays deterministic per digest.
+// cache stores. /run and every /sweep cell reach it through runJob, so a
+// scenario's bytes are the same whichever endpoint asked for it. Every
+// simulation carries a pause-postmortem analyzer: blame attribution
+// subscribes to the event bus (one that keeps no records — the subscriber
+// sees the whole stream) and never perturbs the run, so the body stays
+// deterministic per digest.
 func computeBody(digest string, spec jvm.RunSpec) ([]byte, error) {
 	ob, err := simulate(spec)
 	if err != nil {

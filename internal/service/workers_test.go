@@ -270,3 +270,46 @@ func TestQueueDepthCountsAdmittedJobsOnce(t *testing.T) {
 		t.Errorf("service.queue_depth = %v, want 6 (2 simulating + 4 queued)", depth)
 	}
 }
+
+// A /sweep cell whose scenario is already simulating for /run joins that
+// simulation instead of starting a second one: the endpoints share one
+// in-flight table.
+func TestSweepCellJoinsInFlightRun(t *testing.T) {
+	s, g, url := newGatedService(t, Options{Workers: 2}, 0)
+	a := runAsync(s, seeded(1))
+	g.awaitStarts(t, 1) // the /run simulation is held
+	type sweepResult struct {
+		lines map[int]SweepCell
+		err   error
+	}
+	done := make(chan sweepResult, 1)
+	go func() {
+		lines, err := readSweep(url, SweepRequest{Base: tinyScenario(), Seeds: []int64{1}})
+		done <- sweepResult{lines, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.coalesced.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep cell did not join the in-flight run within 10 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.release(1)
+	run := <-a
+	wantCold(t, "run", run)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	cell, ok := r.lines[0]
+	if len(r.lines) != 1 || !ok {
+		t.Fatalf("sweep returned cells %v, want just cell 0", r.lines)
+	}
+	if cell.Error != "" || cell.Cache != string(OutcomeCoalesced) || !bytes.Equal(cell.Prediction, run.body) {
+		t.Errorf("sweep cell: cache %q, error %q, body equal %v; want the coalesced /run body",
+			cell.Cache, cell.Error, bytes.Equal(cell.Prediction, run.body))
+	}
+	if runs, coalesced := s.runs.Load(), s.coalesced.Load(); runs != 1 || coalesced != 1 {
+		t.Errorf("service.runs %d, service.coalesced %d; want 1 and 1", runs, coalesced)
+	}
+}
