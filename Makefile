@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: build test race vet fmt-check bench check check-invariants results \
 	bench-smoke bench-guard bench-baseline bench-benchstat bench-compare \
 	trace-smoke bench-json benchjson-smoke serve-smoke postmortem-smoke \
-	fleet-smoke triage-smoke perfbench-vet profile-fig10
+	sweep-smoke triage-smoke perfbench-vet profile-fig10
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: fmt-check vet perfbench-vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke fleet-smoke triage-smoke
+check: fmt-check vet perfbench-vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke sweep-smoke triage-smoke
 
 # perfbench is its own module (repro/perfbench, replacing repro with the
 # tree), so `go build ./...` and `go vet ./...` never compile it. Vetting it
@@ -39,15 +39,15 @@ perfbench-vet:
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet .
 
 # Correctness harness: race-test the checker package itself, then run a
-# 32-cell smoke slice of the seed-sweep property harness (a prefix of the
-# 256-cell sweep, so any failure reproduces with `simcheck -cells <i+1>`),
-# then Fig15 at scale 4 under the checker: its co-running multi-JVM cells
-# (§5.7) are the evaluation's only ones, and the run exits 1 on a
-# violation.
+# 32-cell smoke slice of the seed-sweep property harness (a prefix of any
+# longer sweep, so a failure reproduces with the `sweepd -cells <i+1>` it
+# prints; the report itself is discarded), then Fig15 at scale 4 under the
+# checker: its co-running multi-JVM cells (§5.7) are the evaluation's only
+# ones, and the run exits 1 on a violation.
 check-invariants:
-	$(GO) vet ./internal/check/ ./cmd/simcheck/
+	$(GO) vet ./internal/check/ ./cmd/sweepd/
 	$(GO) test -race ./internal/check/
-	$(GO) run ./cmd/simcheck -cells 32
+	$(GO) run ./cmd/sweepd -cells 32 > /dev/null
 	$(GO) run ./cmd/experiments -run fig15 -scale 4 -check > /dev/null
 
 bench:
@@ -112,8 +112,6 @@ bench-json:
 		./internal/pscavenge/ ; \
 	  $(GO) test -run XXX -benchtime 1x -benchmem \
 		-bench 'BenchmarkFig10$$|BenchmarkVanillaJVM$$|BenchmarkOptimizedJVM$$' . ; \
-	  $(GO) test -run XXX -benchtime 1x -benchmem \
-		-bench 'BenchmarkFleetSweep$$' ./internal/fleet/ ; \
 	  $(GO) test -run XXX -benchtime 64x -benchmem \
 		-bench 'BenchmarkCheckedCell$$' ./internal/check/ ; \
 	  $(GO) test -run XXX -benchtime 256x -benchmem \
@@ -241,34 +239,32 @@ postmortem-smoke:
 	$(GO) test ./internal/postmortem/
 	$(GO) test -run 'TestGoldenScale4PostmortemEnabled' ./internal/experiments/
 
-# Fleet determinism smoke test, race-enabled: a 1k-cell multi-process
-# sweep with a mid-shard worker kill injected must produce a clean report
-# (exit 0 requires zero failed cells, violations, and drops) that is
-# byte-identical to an unperturbed single-worker run of the same cell
-# space — the gcsim-sweep/v1 determinism oracle as a CI gate. The fleet
-# unit suite (protocol fuzz corpus, recovery matrix) runs under -race via
-# `make race`; this target exercises the real sweepd binary end to end.
-FLEET_SMOKE_DIR ?= /tmp/gcsim-fleet-smoke
-fleet-smoke:
-	rm -rf $(FLEET_SMOKE_DIR) && mkdir -p $(FLEET_SMOKE_DIR)
-	$(GO) build -race -o $(FLEET_SMOKE_DIR)/sweepd ./cmd/sweepd
-	$(FLEET_SMOKE_DIR)/sweepd -cells 1000 -workers 1 -shards 1 -no-steal \
-		-items 150 -skip-bare -quiet -out $(FLEET_SMOKE_DIR)/baseline.json
-	$(FLEET_SMOKE_DIR)/sweepd -cells 1000 -workers 2 -kill-worker-after 5 \
-		-items 150 -skip-bare -out $(FLEET_SMOKE_DIR)/killed.json
-	cmp $(FLEET_SMOKE_DIR)/baseline.json $(FLEET_SMOKE_DIR)/killed.json
-	@rm -rf $(FLEET_SMOKE_DIR); echo "fleet-smoke: reports byte-identical under injected worker kill"
+# Sweep determinism smoke test, race-enabled: a 1k-cell sweepd run must
+# produce a clean report (exit 0 requires zero failed cells, violations,
+# and drops) that is byte-identical between one job and eight — the
+# gcsim-sweep/v1 determinism oracle as a CI gate on the real binary.
+SWEEP_SMOKE_DIR ?= /tmp/gcsim-sweep-smoke
+sweep-smoke:
+	rm -rf $(SWEEP_SMOKE_DIR) && mkdir -p $(SWEEP_SMOKE_DIR)
+	$(GO) build -race -o $(SWEEP_SMOKE_DIR)/sweepd ./cmd/sweepd
+	$(SWEEP_SMOKE_DIR)/sweepd -cells 1000 -items 150 -skip-bare -jobs 1 \
+		-out $(SWEEP_SMOKE_DIR)/jobs1.json
+	$(SWEEP_SMOKE_DIR)/sweepd -cells 1000 -items 150 -skip-bare -jobs 8 \
+		-out $(SWEEP_SMOKE_DIR)/jobs8.json
+	cmp $(SWEEP_SMOKE_DIR)/jobs1.json $(SWEEP_SMOKE_DIR)/jobs8.json
+	@rm -rf $(SWEEP_SMOKE_DIR); echo "sweep-smoke: reports byte-identical at -jobs 1 and 8"
 
 # Failure-triage smoke test: a sweep with an injected failure must exit 1
 # and write the failing cell's window, replayed on retained rings, as
 # Perfetto JSON holding events of every layer (tracecheck fails on a
 # window of track metadata alone).
-TRIAGE_SMOKE_DIR ?= /tmp/simcheck-triage-smoke
+TRIAGE_SMOKE_DIR ?= /tmp/sweepd-triage-smoke
 triage-smoke:
 	rm -rf $(TRIAGE_SMOKE_DIR) && mkdir -p $(TRIAGE_SMOKE_DIR)
-	@$(GO) build -o $(TRIAGE_SMOKE_DIR)/simcheck ./cmd/simcheck
-	@$(TRIAGE_SMOKE_DIR)/simcheck -cells 2 -inject-fail -out $(TRIAGE_SMOKE_DIR); rc=$$?; \
-		if [ $$rc -ne 1 ]; then echo "triage-smoke: simcheck -inject-fail exited $$rc, want 1"; exit 1; fi
+	@$(GO) build -o $(TRIAGE_SMOKE_DIR)/sweepd ./cmd/sweepd
+	@$(TRIAGE_SMOKE_DIR)/sweepd -cells 2 -inject-fail -window-dir $(TRIAGE_SMOKE_DIR) \
+		-out $(TRIAGE_SMOKE_DIR)/report.json; rc=$$?; \
+		if [ $$rc -ne 1 ]; then echo "triage-smoke: sweepd -inject-fail exited $$rc, want 1"; exit 1; fi
 	$(GO) run ./cmd/tracecheck $(TRIAGE_SMOKE_DIR)/violation-cell-000.json
 	@rm -rf $(TRIAGE_SMOKE_DIR); echo "triage-smoke: the injected failure's window holds trace events"
 

@@ -60,7 +60,7 @@
 //
 // This package intentionally imports only evtrace, mirroring the bus's own
 // no-dependency rule, so every layer above it (experiments, cmd/gcsim,
-// cmd/simcheck) can attach a checker without import cycles.
+// cmd/sweepd) can attach a checker without import cycles.
 package check
 
 import (

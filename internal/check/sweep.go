@@ -89,10 +89,9 @@ func Cells(baseSeed int64, n int) []Cell {
 }
 
 // CellAt derives sweep cell i of the baseSeed space in O(1) — the same
-// cell Cells(baseSeed, n)[i] yields for any n > i. The fleet coordinator
-// leans on this: a shard [lo,hi) names its cells by index alone, so any
-// worker process can materialize exactly its slice of a 100k-cell space
-// without deriving (or even knowing) the rest.
+// cell Cells(baseSeed, n)[i] yields for any n > i. A sweep leans on this:
+// a cell is named by its index alone, so a failing cell of a 100k-cell
+// sweep reproduces without deriving (or even knowing) the rest.
 func CellAt(baseSeed int64, i int) Cell {
 	// One private generator per cell keeps prefix stability.
 	rng := rand.New(rand.NewSource(baseSeed + int64(i)*1000003))
@@ -140,7 +139,7 @@ type CellResult struct {
 
 	// Pathology is the postmortem classifier's verdict for the checked run
 	// (§3 taxonomy family, or "healthy"). Deterministic per cell, so the
-	// fleet report can merge pathology counts across the whole sweep.
+	// sweep report can merge pathology counts across the whole sweep.
 	Pathology string
 
 	// Tracer holds the triage replay of a failed cell (see Triage), for
@@ -202,14 +201,14 @@ const DefaultItems = 1500
 // determinism replay.
 type RunOptions struct {
 	// Items overrides the cell workload's total item count (0 uses
-	// DefaultItems). Fleet-scale sweeps shrink it to trade per-cell depth
+	// DefaultItems). Very large sweeps shrink it to trade per-cell depth
 	// for cell count; digests are only comparable at equal Items.
 	Items int
 	// SkipBare skips the uninstrumented replay. The determinism
 	// differential is lost for that cell (BareDigest mirrors Digest), but
-	// the cell costs one simulation instead of two — the fleet harness's
-	// fast mode for very large sweeps, where cross-process digest
-	// comparison still covers replay stability.
+	// the cell costs one simulation instead of two — sweepd's fast mode
+	// for very large sweeps, where comparing the report across runs and
+	// -jobs values still covers replay stability.
 	SkipBare bool
 }
 

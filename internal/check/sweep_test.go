@@ -35,7 +35,7 @@ func TestCheckerOnRealRun(t *testing.T) {
 }
 
 // TestSweepSmoke runs the head of the default sweep — the same cells
-// `make check-invariants` and cmd/simcheck cover — and requires every cell
+// `make check-invariants` and cmd/sweepd cover — and requires every cell
 // clean: no invariant violations, and byte-identical checked/bare replays.
 func TestSweepSmoke(t *testing.T) {
 	n := 8

@@ -1,7 +1,7 @@
 // Package cmdutil centralizes how cmd/* binaries write output files and
 // exit. The bug it retires: a main that calls os.Exit on a failure path
 // skips its deferred closes, so a buffered -out file is left unflushed or
-// truncated — the violation window a failing simcheck run exists to
+// truncated — the violation window a failing sweepd run exists to
 // deliver is exactly the artifact that got corrupted. Every command now
 // routes its exit through Exit, which flushes and closes all registered
 // outputs first, escalating the exit code if a flush fails.
@@ -15,9 +15,8 @@ import (
 )
 
 // Output is a buffered output destination: a file path, or stdout for ""
-// or "-". The backing file is created lazily on first write, so a command
-// that never produces output (simcheck with no violations) never leaves an
-// empty artifact behind.
+// or "-". The backing file is created lazily on first write, so an output
+// a command never writes to leaves no empty artifact behind.
 type Output struct {
 	path   string
 	stdout bool

@@ -9,7 +9,7 @@ import (
 	"repro/internal/gclog"
 )
 
-// resultDigest hashes everything a run reports, the same way the simcheck
+// resultDigest hashes everything a run reports, the same way the sweepd
 // sweep digests cells.
 func resultDigest(t *testing.T, cfg Config) string {
 	t.Helper()

@@ -6,9 +6,15 @@ import (
 	"repro/internal/check"
 )
 
-// CheckRunner adapts the check-package cell space to the fleet worker: the
-// cell index alone names the cell (check.CellAt is prefix-stable and O(1)
-// in the index), so only the index travels on the wire.
+// RunFunc executes one cell. index names the cell in the sweep's
+// prefix-stable space, which derives everything else about it. payload is
+// always nil: no cell space carries per-cell data. The returned record's
+// Index must equal index.
+type RunFunc func(index int, payload json.RawMessage) (CellRecord, error)
+
+// CheckRunner runs cells of the check-package cell space: the cell index
+// alone names the cell (check.CellAt is prefix-stable and O(1) in the
+// index), so a sweep can run any subset of cells in any order.
 func CheckRunner(baseSeed int64, opts check.RunOptions) RunFunc {
 	return func(index int, _ json.RawMessage) (CellRecord, error) {
 		cell := check.CellAt(baseSeed, index)

@@ -1,3 +1,9 @@
+// Package fleet holds the sweep report: the gcsim-sweep/v1 format
+// (BuildReport), its per-cell rows (CellRecord), and the runner for the
+// check-package cell space (CheckRunner). Every row is a pure function of
+// its cell index, so the report is byte-identical however many cells ran
+// at once and in whatever order they finished; cmd/sweepd's determinism
+// oracle compares those bytes.
 package fleet
 
 import (
@@ -12,11 +18,11 @@ import (
 // ReportSchema names the merged sweep report format.
 const ReportSchema = "gcsim-sweep/v1"
 
-// Report is the merged, machine-readable result of one fleet sweep. It is
-// a pure function of the sweep definition (base seed, cell count, items)
+// Report is the merged, machine-readable result of one sweep. It is a
+// pure function of the sweep definition (base seed, cell count, items)
 // and the per-cell records — byte-identical however the sweep was
-// executed. Execution facts (worker count, steals, wall time) are
-// deliberately absent; they live in Stats and on stderr.
+// executed. Execution facts (job count, wall time) are deliberately
+// absent; they go to stderr.
 type Report struct {
 	Schema   string `json:"schema"`
 	BaseSeed int64  `json:"base_seed"`
@@ -79,8 +85,27 @@ func BuildReport(baseSeed int64, full, items int, bare bool, records []CellRecor
 	return rep
 }
 
+// CellRecord is one cell's report row. Every field is a deterministic
+// function of the cell index (and the sweep's fixed configuration), never
+// of which goroutine ran it or when: that is what makes the report
+// byte-identical across job counts.
+type CellRecord struct {
+	Index int `json:"index"`
+
+	// Digest is the cell's observable-output digest.
+	Digest string `json:"digest,omitempty"`
+
+	Events     uint64 `json:"events,omitempty"`
+	Violations int    `json:"violations,omitempty"`
+	Drops      uint64 `json:"drops,omitempty"`
+	Pathology  string `json:"pathology,omitempty"`
+
+	Failed  bool   `json:"failed,omitempty"`
+	Summary string `json:"summary,omitempty"`
+}
+
 // WriteJSON writes the report as indented JSON with a trailing newline —
-// the exact bytes the determinism matrix compares.
+// the exact bytes the determinism oracle compares.
 func (rep *Report) WriteJSON(w io.Writer) error {
 	// Rows are required sorted; enforce rather than trust.
 	sort.Slice(rep.Rows, func(i, j int) bool { return rep.Rows[i].Index < rep.Rows[j].Index })

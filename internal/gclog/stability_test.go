@@ -23,7 +23,7 @@ func runExportBytes(t *testing.T, metrics []evtrace.Metric) []byte {
 	return b.Bytes()
 }
 
-// The service cache and the simcheck sweep both digest WriteRunJSON
+// The service cache and the sweepd sweep both digest WriteRunJSON
 // output, so repeated marshals of one run must be byte-identical — no map
 // iteration order (or other nondeterminism) may leak into the encoding.
 // The registries are rebuilt per iteration with shuffled insertion orders
