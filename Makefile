@@ -8,7 +8,7 @@ GO ?= go
 .PHONY: build test race vet fmt-check bench check check-invariants results \
 	bench-smoke bench-guard bench-baseline bench-benchstat bench-compare \
 	trace-smoke bench-json benchjson-smoke serve-smoke postmortem-smoke \
-	sweep-smoke triage-smoke perfbench-vet profile-fig10
+	sweep-smoke triage-smoke perfbench-vet perfbench-identity profile-fig10
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,7 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-check: fmt-check vet perfbench-vet race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke sweep-smoke triage-smoke
+check: fmt-check vet perfbench-vet perfbench-identity race check-invariants bench-smoke bench-guard benchjson-smoke serve-smoke trace-smoke postmortem-smoke sweep-smoke triage-smoke
 
 # perfbench is its own module (repro/perfbench, replacing repro with the
 # tree), so `go build ./...` and `go vet ./...` never compile it. Vetting it
@@ -37,6 +37,21 @@ check: fmt-check vet perfbench-vet race check-invariants bench-smoke bench-guard
 # before the benchmark runs.
 perfbench-vet:
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet .
+
+# Benchmark identity gate: each BENCHMARK.json workload runs for one
+# second (seed 42, no trace) and must end with "correct":true, i.e. its
+# output digests, among them sha256 over gclog.WriteRunJSON, still match
+# perfbench/refs.json. It only runs the benchmark; it writes nothing
+# under perfbench/ (builds and records stay under .bench_build/).
+PERFBENCH_WORKLOADS ?= gc-heavy whatif-mix checked-sweep
+perfbench-identity:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 42 --seconds 1 --trace 0 | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true'*) echo "perfbench-identity: $$w correct";; \
+		*) echo "perfbench-identity: $$w: $$last"; exit 1;; \
+		esac; \
+	done
 
 # Correctness harness: race-test the checker package itself, then run a
 # 32-cell smoke slice of the seed-sweep property harness (a prefix of any

@@ -33,23 +33,24 @@ type Kernel struct {
 	Stats KernelStats
 }
 
-// KernelStats aggregates scheduler-level counters across a run.
+// KernelStats aggregates scheduler-level counters across a run. Each
+// json tag names its counter (cfs.<tag>) in the metrics registry.
 type KernelStats struct {
-	Preemptions       int // slice expirations
-	WakePreemptions   int // successful wakeup preemptions
-	WakePreemptFailed int // wakeups that could not preempt the current thread
-	NewIdlePulls      int
-	PeriodicPulls     int
-	WakesToPrev       int // wake placed on the thread's previous core
-	WakesToIdleCore   int // wake placed on an idle core found by the sibling search
-	DeepIdleSkips     int // idle cores skipped by wake placement because deep idle
-	ContextSwitches   int
-	BodyResumes       int // coroutine resumes (Coro.Next) across all threads
+	Preemptions       int `json:"preemptions"`         // slice expirations
+	WakePreemptions   int `json:"wake_preemptions"`    // successful wakeup preemptions
+	WakePreemptFailed int `json:"wake_preempt_failed"` // wakeups that could not preempt the current thread
+	NewIdlePulls      int `json:"newidle_pulls"`
+	PeriodicPulls     int `json:"periodic_pulls"`
+	WakesToPrev       int `json:"wakes_to_prev"`      // wake placed on the thread's previous core
+	WakesToIdleCore   int `json:"wakes_to_idle_core"` // wake placed on an idle core found by the sibling search
+	DeepIdleSkips     int `json:"deep_idle_skips"`    // idle cores skipped by wake placement because deep idle
+	ContextSwitches   int `json:"context_switches"`
+	BodyResumes       int `json:"body_resumes"` // coroutine resumes (Coro.Next) across all threads
 	// Deprecated: PlanElisions is always 0; every compute-plan slice is
 	// counted in BurstElisions. It is kept because perfbench's
 	// resultStats reads it.
-	PlanElisions  int
-	BurstElisions int // compute-plan (ComputePlan) slices serviced driver-side
+	PlanElisions  int `json:"-"`
+	BurstElisions int `json:"burst_elisions"` // compute-plan (ComputePlan) slices serviced driver-side
 }
 
 type timerKind int
@@ -667,18 +668,3 @@ func (k *Kernel) CoreLoads() []float64 {
 	}
 	return loads
 }
-
-// RunnableLoads always returns only runnable counts (the balancer's view).
-func (k *Kernel) RunnableLoads() []int {
-	loads := make([]int, len(k.cores))
-	for i, c := range k.cores {
-		loads[i] = c.load()
-	}
-	return loads
-}
-
-// CoreOf returns the core a thread currently resides on.
-func (k *Kernel) CoreOf(t *Thread) ostopo.CoreID { return t.core }
-
-// Active returns the thread whose body is currently executing, or nil.
-func (k *Kernel) Active() *Thread { return k.active }

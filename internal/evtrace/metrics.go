@@ -3,6 +3,7 @@ package evtrace
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,6 +72,35 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// SetFields sets the counter prefix.<name> for every integer field of
+// the struct v (or *v), where name is the field's json tag. A field
+// tagged "-" and a non-integer field are skipped; an integer field with
+// no tag panics, so a counter added to a stats struct cannot go
+// unpublished unnoticed.
+func (r *Registry) SetFields(prefix string, v any) {
+	rv := reflect.Indirect(reflect.ValueOf(v))
+	for i := 0; i < rv.NumField(); i++ {
+		f := rv.Type().Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "-" {
+			continue
+		}
+		var n int64
+		switch fv := rv.Field(i); {
+		case fv.CanInt():
+			n = fv.Int()
+		case fv.CanUint():
+			n = int64(fv.Uint())
+		default:
+			continue
+		}
+		if name == "" {
+			panic(fmt.Sprintf("evtrace: %s.%s is an integer field with no json tag", rv.Type(), f.Name))
+		}
+		r.Counter(prefix + "." + name).Set(n)
+	}
 }
 
 // Summary registers the live histogram h under name. The registry reads

@@ -31,8 +31,8 @@ type Report struct {
 	Bare     bool   `json:"bare,omitempty"` // bare-metal replay digests included
 
 	// Partial is the number of recorded cells when the sweep was drained
-	// before completion; omitted (zero) for a full sweep.
-	Partial int `json:"partial,omitempty"`
+	// before completion, zero included; omitted (nil) for a full sweep.
+	Partial *int `json:"partial,omitempty"`
 
 	Failed     int    `json:"failed"`
 	Events     uint64 `json:"events"`
@@ -63,7 +63,8 @@ func BuildReport(baseSeed int64, full, items int, bare bool, records []CellRecor
 		Rows:     records,
 	}
 	if len(records) < full {
-		rep.Partial = len(records)
+		n := len(records)
+		rep.Partial = &n
 	}
 	h := sha256.New()
 	for _, r := range records {

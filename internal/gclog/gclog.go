@@ -124,18 +124,6 @@ func WriteJSON(w io.Writer, reports []*pscavenge.GCReport) error {
 	return enc.Encode(entries)
 }
 
-// MonitorExport is the JSON shape of the GCTaskManager monitor counters.
-type MonitorExport struct {
-	FastAcquires         int `json:"fast_acquires"`
-	SlowAcquires         int `json:"slow_acquires"`
-	OwnerReacquires      int `json:"owner_reacquires"`
-	Bypasses             int `json:"bypasses"`
-	Handoffs             int `json:"handoffs"`
-	Notifies             int `json:"notifies"`
-	ParkEvents           int `json:"park_events"`
-	MaxConcurrentSeekers int `json:"max_concurrent_seekers"`
-}
-
 // StealExport is the JSON shape of the run's work-stealing counters.
 type StealExport struct {
 	Attempts    int64   `json:"attempts"`
@@ -148,7 +136,7 @@ type StealExport struct {
 // cross-layer counters (monitor, stealing, unified metrics).
 type RunExport struct {
 	Collections []Entry          `json:"collections"`
-	Monitor     MonitorExport    `json:"monitor"`
+	Monitor     jmutex.Stats     `json:"monitor"` // the GCTaskManager monitor counters
 	Steal       StealExport      `json:"steal"`
 	Metrics     []evtrace.Metric `json:"metrics,omitempty"`
 }
@@ -159,17 +147,8 @@ type RunExport struct {
 func WriteRunJSON(w io.Writer, reports []*pscavenge.GCReport, mon jmutex.Stats, steal *taskq.Stats, metrics []evtrace.Metric) error {
 	out := RunExport{
 		Collections: make([]Entry, len(reports)),
-		Monitor: MonitorExport{
-			FastAcquires:         mon.FastAcquires,
-			SlowAcquires:         mon.SlowAcquires,
-			OwnerReacquires:      mon.OwnerReacquires,
-			Bypasses:             mon.Bypasses,
-			Handoffs:             mon.Handoffs,
-			Notifies:             mon.Notifies,
-			ParkEvents:           mon.ParkEvents,
-			MaxConcurrentSeekers: mon.MaxConcurrentSeekers,
-		},
-		Metrics: metrics,
+		Monitor:     mon,
+		Metrics:     metrics,
 	}
 	for i, rep := range reports {
 		out.Collections[i] = ToEntry(rep)

@@ -73,17 +73,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats tracks cumulative heap activity.
+// Stats tracks cumulative heap activity. Each json tag names its
+// counter (heap.<tag>) in the metrics registry.
 type Stats struct {
-	AllocatedObjects int64
-	AllocatedBytes   int64
-	PromotedObjects  int64
-	PromotedBytes    int64
-	SurvivedObjects  int64
-	FreedYoungBytes  int64
-	FreedOldBytes    int64
-	BarrierHits      int64 // old→young pointer stores (remembered-set adds)
-	RefCompactions   int64 // refs-arena compactions (GC-time housekeeping)
+	AllocatedObjects int64 `json:"allocated_objects"`
+	AllocatedBytes   int64 `json:"allocated_bytes"`
+	PromotedObjects  int64 `json:"promoted_objects"`
+	PromotedBytes    int64 `json:"promoted_bytes"`
+	SurvivedObjects  int64 `json:"survived_objects"`
+	FreedYoungBytes  int64 `json:"freed_young_bytes"`
+	FreedOldBytes    int64 `json:"freed_old_bytes"`
+	BarrierHits      int64 `json:"barrier_hits"`    // old→young pointer stores (remembered-set adds)
+	RefCompactions   int64 `json:"ref_compactions"` // refs-arena compactions (GC-time housekeeping)
 }
 
 // objMeta is one object's packed record in the object table: identity

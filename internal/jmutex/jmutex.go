@@ -57,19 +57,21 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// Stats counts lock events for the paper's §3.2 analysis.
+// Stats counts lock events for the paper's §3.2 analysis. Each json tag
+// names its counter: jmutex.<tag> in the metrics registry, and the keys
+// of -gcjson's monitor object.
 type Stats struct {
-	FastAcquires    int // acquisitions through the CAS fast path
-	SlowAcquires    int // acquisitions after queuing at least once
-	OwnerReacquires int // fast acquisitions by the previous owner
-	Bypasses        int // fast acquisitions that jumped over queued waiters
-	Handoffs        int // acquisitions by the OnDeck heir / FIFO successor
-	Notifies        int
-	ParkEvents      int // times a contender had to park
+	FastAcquires    int `json:"fast_acquires"`    // acquisitions through the CAS fast path
+	SlowAcquires    int `json:"slow_acquires"`    // acquisitions after queuing at least once
+	OwnerReacquires int `json:"owner_reacquires"` // fast acquisitions by the previous owner
+	Bypasses        int `json:"bypasses"`         // fast acquisitions that jumped over queued waiters
+	Handoffs        int `json:"handoffs"`         // acquisitions by the OnDeck heir / FIFO successor
+	Notifies        int `json:"notifies"`
+	ParkEvents      int `json:"park_events"` // times a contender had to park
 	// MaxConcurrentSeekers is the most threads ever simultaneously awake
 	// and competing for the lock (§3.2: at most two during a stacked GC —
 	// the previous owner and the OnDeck thread).
-	MaxConcurrentSeekers int
+	MaxConcurrentSeekers int `json:"max_concurrent_seekers"`
 }
 
 // Monitor is a HotSpot native monitor: mutual exclusion plus a WaitSet.

@@ -305,7 +305,7 @@ func TestRunRejectsInvalidProfile(t *testing.T) {
 
 func TestHeapInvariantsAfterFullRun(t *testing.T) {
 	p := shrink(workload.Lusearch(), 10)
-	m := NewMachine(19, ostopo.PaperTestbed(), nil)
+	m := NewMachineScratch(19, ostopo.PaperTestbed(), nil, nil, nil)
 	defer m.Close()
 	j, err := m.AddJVM(Config{Profile: p, Mutators: 8, Seed: 19})
 	if err != nil {
@@ -345,7 +345,7 @@ func TestSafepointStopsEveryMutator(t *testing.T) {
 	// heap invariants hold and every GC saw all live mutators' roots
 	// (ThreadRootsTask count == active mutators).
 	p := shrink(workload.Lusearch(), 10)
-	m := NewMachine(41, ostopo.PaperTestbed(), nil)
+	m := NewMachineScratch(41, ostopo.PaperTestbed(), nil, nil, nil)
 	defer m.Close()
 	j, err := m.AddJVM(Config{Profile: p, Mutators: 5, Seed: 41})
 	if err != nil {

@@ -26,11 +26,6 @@ type Machine struct {
 	scratch *Scratch // pooled backing arrays; harvested back by Close
 }
 
-// NewMachine creates a machine. params may be nil for defaults.
-func NewMachine(seed int64, topo *ostopo.Topology, params *cfs.Params) *Machine {
-	return NewMachineScratch(seed, topo, params, nil, nil)
-}
-
 // NewMachineScratch creates a machine with the event tracer tr (nil
 // disables tracing) installed before the kernel is constructed, so even
 // the kernel's own setup work (arming the periodic balance timers) lands

@@ -408,11 +408,12 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestAggregateReports(t *testing.T) {
 	reports := []*GCReport{
-		{Kind: Minor, Start: 0, End: 10 * ms, StealAttempts: 5, StealFailures: 2},
-		{Kind: Major, Start: 20 * ms, End: 50 * ms, StealAttempts: 7, StealFailures: 7},
+		{Kind: Minor, Start: 0, End: 10 * ms, StealAttempts: 5, StealFailures: 2, CopiedObjects: 3, PromotedObjects: 1},
+		{Kind: Major, Start: 20 * ms, End: 50 * ms, StealAttempts: 7, StealFailures: 7, CopiedObjects: 4, PromotedObjects: 2},
 	}
 	all := Aggregate(reports, GCKind(-1))
-	if all.Count != 2 || all.TotalPause != 40*ms || all.StealAttempts != 12 {
+	if all.Count != 2 || all.TotalPause != 40*ms || all.StealAttempts != 12 ||
+		all.CopiedObjects != 7 || all.PromotedObjects != 3 {
 		t.Errorf("Aggregate(all) = %+v", all)
 	}
 	minor := Aggregate(reports, Minor)

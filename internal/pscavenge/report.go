@@ -183,19 +183,22 @@ func (r *GCReport) RootTaskSpread() int {
 	return n
 }
 
-// Totals aggregates a slice of reports.
+// Totals aggregates a slice of reports. Each json tag names its counter
+// (gc.<tag>) in the metrics registry.
 type Totals struct {
-	Count           int
-	TotalPause      simkit.Time
-	InitTime        simkit.Time
-	RootTaskTime    simkit.Time
-	StealWorkTime   simkit.Time
-	TerminationTime simkit.Time
-	FinalSyncTime   simkit.Time
-	StealAttempts   int64
-	StealFailures   int64
-	CopiedBytes     int64
-	FreedBytes      int64
+	Count           int         `json:"collections"`
+	TotalPause      simkit.Time `json:"pause_ns"`
+	InitTime        simkit.Time `json:"init_ns"`
+	RootTaskTime    simkit.Time `json:"root_task_ns"`
+	StealWorkTime   simkit.Time `json:"steal_work_ns"`
+	TerminationTime simkit.Time `json:"termination_ns"`
+	FinalSyncTime   simkit.Time `json:"final_sync_ns"`
+	StealAttempts   int64       `json:"steal_attempts"`
+	StealFailures   int64       `json:"steal_failures"`
+	CopiedObjects   int64       `json:"copied_objects"`
+	CopiedBytes     int64       `json:"copied_bytes"`
+	PromotedObjects int64       `json:"promoted_objects"`
+	FreedBytes      int64       `json:"freed_bytes"`
 }
 
 // Aggregate sums reports (optionally filtered by kind; pass -1 for all).
@@ -214,7 +217,9 @@ func Aggregate(reports []*GCReport, kind GCKind) Totals {
 		t.FinalSyncTime += r.FinalSyncTime
 		t.StealAttempts += r.StealAttempts
 		t.StealFailures += r.StealFailures
+		t.CopiedObjects += r.CopiedObjects
 		t.CopiedBytes += r.CopiedBytes
+		t.PromotedObjects += r.PromotedObjects
 		t.FreedBytes += r.FreedBytes
 	}
 	return t

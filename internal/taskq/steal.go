@@ -55,27 +55,6 @@ func (s *Stats) FailureRate() float64 {
 	return float64(s.TotalFailures()) / float64(a)
 }
 
-// Merge adds other's counters into s. The two Stats may come from runs
-// with different thread counts: s grows to hold other's extra thieves, and
-// thieves present only in s keep their counts. A nil other is a no-op.
-func (s *Stats) Merge(other *Stats) {
-	if other == nil {
-		return
-	}
-	if n := len(other.Attempts); n > len(s.Attempts) {
-		s.Attempts = append(s.Attempts, make([]int64, n-len(s.Attempts))...)
-	}
-	if n := len(other.Failures); n > len(s.Failures) {
-		s.Failures = append(s.Failures, make([]int64, n-len(s.Failures))...)
-	}
-	for i, v := range other.Attempts {
-		s.Attempts[i] += v
-	}
-	for i, v := range other.Failures {
-		s.Failures[i] += v
-	}
-}
-
 func sum(xs []int64) int64 {
 	var t int64
 	for _, x := range xs {

@@ -247,12 +247,6 @@ func TestStatsAggregation(t *testing.T) {
 	if r := s.FailureRate(); r < 0.59 || r > 0.61 {
 		t.Errorf("FailureRate = %v, want 0.6", r)
 	}
-	other := NewStats(3)
-	other.Attempts[1] = 7
-	s.Merge(other)
-	if s.TotalAttempts() != 22 {
-		t.Errorf("after merge TotalAttempts = %d, want 22", s.TotalAttempts())
-	}
 	if (&Stats{Attempts: []int64{0}, Failures: []int64{0}}).FailureRate() != 0 {
 		t.Error("FailureRate on empty stats should be 0")
 	}
@@ -282,40 +276,6 @@ func TestRandOtherNeverSelf(t *testing.T) {
 				t.Fatalf("randOther(%d,5) = %d", self, v)
 			}
 		}
-	}
-}
-
-// TestStatsMergeDifferentSizes: Merge used to index other's slices with
-// s's length and panic when the two Stats were sized for different thread
-// counts; now the receiver grows to cover the larger run.
-func TestStatsMergeDifferentSizes(t *testing.T) {
-	small := NewStats(2)
-	small.Attempts[0], small.Failures[0] = 3, 1
-	big := NewStats(4)
-	big.Attempts[3], big.Failures[3] = 7, 2
-
-	small.Merge(big) // must grow, not panic
-	if len(small.Attempts) != 4 || len(small.Failures) != 4 {
-		t.Fatalf("merged lengths = (%d,%d), want (4,4)", len(small.Attempts), len(small.Failures))
-	}
-	if small.TotalAttempts() != 10 || small.TotalFailures() != 3 {
-		t.Errorf("merged totals = (%d,%d), want (10,3)", small.TotalAttempts(), small.TotalFailures())
-	}
-	if small.Attempts[3] != 7 {
-		t.Errorf("grown slot Attempts[3] = %d, want 7", small.Attempts[3])
-	}
-
-	// Larger receiver keeps its extra thieves' counts.
-	wide := NewStats(3)
-	wide.Attempts[2] = 5
-	wide.Merge(NewStats(1))
-	if wide.Attempts[2] != 5 || len(wide.Attempts) != 3 {
-		t.Errorf("merge of smaller stats disturbed receiver: %+v", wide)
-	}
-
-	wide.Merge(nil) // no-op
-	if wide.TotalAttempts() != 5 {
-		t.Error("Merge(nil) changed totals")
 	}
 }
 
