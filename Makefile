@@ -43,9 +43,8 @@ perfbench-vet:
 # output digests, among them sha256 over gclog.WriteRunJSON, still match
 # perfbench/refs.json. It only runs the benchmark; it writes nothing
 # under perfbench/ (builds and records stay under .bench_build/).
-PERFBENCH_WORKLOADS ?= gc-heavy whatif-mix checked-sweep
 perfbench-identity:
-	@for w in $(PERFBENCH_WORKLOADS); do \
+	@for w in gc-heavy whatif-mix checked-sweep; do \
 		last=$$(bash perfbench/run.sh --workload $$w --seed 42 --seconds 1 --trace 0 | tail -n 1); \
 		case "$$last" in \
 		*'"correct":true'*) echo "perfbench-identity: $$w correct";; \

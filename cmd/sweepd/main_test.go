@@ -145,9 +145,12 @@ func TestCancelWritesPartialReport(t *testing.T) {
 	}
 	// Cell 3 was in flight when the context was cancelled: it finishes
 	// and is kept.
-	if r.Cells != 10 || r.Partial == nil || *r.Partial != 4 || len(r.Rows) != 4 || r.Rows[3].Index != 3 {
-		t.Fatalf("got cells=%d partial=%v rows=%d, want 10, 4, 4 ending at cell 3:\n%s",
-			r.Cells, r.Partial, len(r.Rows), rep)
+	if r.Partial == nil {
+		t.Fatalf("drained report has no partial field:\n%s", rep)
+	}
+	if r.Cells != 10 || *r.Partial != 4 || len(r.Rows) != 4 || r.Rows[3].Index != 3 {
+		t.Fatalf("got cells=%d partial=%d rows=%d, want 10, 4, 4 ending at cell 3:\n%s",
+			r.Cells, *r.Partial, len(r.Rows), rep)
 	}
 }
 

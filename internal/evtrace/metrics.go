@@ -74,32 +74,23 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// SetFields sets the counter prefix.<name> for every integer field of
-// the struct v (or *v), where name is the field's json tag. A field
-// tagged "-" and a non-integer field are skipped; an integer field with
-// no tag panics, so a counter added to a stats struct cannot go
-// unpublished unnoticed.
+// SetFields sets the counter prefix.<name> for every signed integer
+// field of the struct v (or *v), where name is the field's json tag.
+// Fields tagged "-" and fields of any other kind are skipped; a signed
+// integer field with no tag panics, so a counter added to a stats struct
+// cannot go unpublished unnoticed. The tag is used whole: no options.
 func (r *Registry) SetFields(prefix string, v any) {
 	rv := reflect.Indirect(reflect.ValueOf(v))
 	for i := 0; i < rv.NumField(); i++ {
 		f := rv.Type().Field(i)
-		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		if name == "-" {
-			continue
-		}
-		var n int64
-		switch fv := rv.Field(i); {
-		case fv.CanInt():
-			n = fv.Int()
-		case fv.CanUint():
-			n = int64(fv.Uint())
-		default:
+		name := f.Tag.Get("json")
+		if name == "-" || !rv.Field(i).CanInt() {
 			continue
 		}
 		if name == "" {
 			panic(fmt.Sprintf("evtrace: %s.%s is an integer field with no json tag", rv.Type(), f.Name))
 		}
-		r.Counter(prefix + "." + name).Set(n)
+		r.Counter(prefix + "." + name).Set(rv.Field(i).Int())
 	}
 }
 

@@ -98,16 +98,15 @@ svc_shared 1.5
 func TestSetFields(t *testing.T) {
 	type stats struct {
 		Hits    int     `json:"hits"`
-		Bytes   uint64  `json:"bytes,omitempty"`
 		Elapsed int64   `json:"elapsed_ns"`
 		Old     int     `json:"-"`
 		Ratio   float64 `json:"ratio"`
 		Label   string
 	}
 	r := NewRegistry()
-	r.SetFields("x", &stats{Hits: 3, Bytes: 4, Elapsed: -5, Old: 9, Ratio: 0.5, Label: "l"})
+	r.SetFields("x", &stats{Hits: 3, Elapsed: -5, Old: 9, Ratio: 0.5, Label: "l"})
 	got, _ := json.Marshal(r.Current())
-	want := `[{"name":"x.bytes","value":4},{"name":"x.elapsed_ns","value":-5},{"name":"x.hits","value":3}]`
+	want := `[{"name":"x.elapsed_ns","value":-5},{"name":"x.hits","value":3}]`
 	if string(got) != want {
 		t.Errorf("SetFields:\n got %s\nwant %s", got, want)
 	}

@@ -59,7 +59,10 @@ func (p Policy) String() string {
 
 // Stats counts lock events for the paper's §3.2 analysis. Each json tag
 // names its counter: jmutex.<tag> in the metrics registry, and the keys
-// of -gcjson's monitor object.
+// of -gcjson's monitor object. That object is what gclog.WriteRunJSON
+// writes, and its bytes are hashed into the sweep fixture's and the
+// benchmark's reference digests: adding, renaming or reordering a field
+// changes every one of those digests, so it needs new references.
 type Stats struct {
 	FastAcquires    int `json:"fast_acquires"`    // acquisitions through the CAS fast path
 	SlowAcquires    int `json:"slow_acquires"`    // acquisitions after queuing at least once
